@@ -1,14 +1,16 @@
 """Command-line front end: solve, sweep, oracle.
 
 Single solutions are emitted as one JSON document on stdout, sweeps as
-CSV.  Every real number is serialized with 17 significant digits so the
-output round-trips to the exact double.  Exit codes: 0 on success, 1 on
-invalid input, 2 when verification (or the oracle gap check) fails.
+CSV.  JSON reals are written as the shortest string that parses back to
+the same double; the CSV uses 17 significant digits.  Exit codes: 0 on
+success, 1 on invalid input, 2 when verification (or the oracle gap
+check) fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -22,37 +24,6 @@ SCHEMA_VERSION = "1"
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_FAILED = 2
-
-
-def _format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def _to_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f'{inner}"{k}": {_to_json(v, indent + 1)}' for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_to_json(v, indent + 1) for v in value]
-        return "[" + ", ".join(items) + "]"
-    return _format_value(value)
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -99,7 +70,7 @@ def cmd_solve(args) -> int:
     spec = ProblemSpec(kind=args.kind, indices=_parse_indices(args.indices), b=args.b)
     sol = solve(spec)
     report = verify_solution(sol, spec)
-    print(_to_json(_solution_record(spec, sol, report)))
+    print(json.dumps(_solution_record(spec, sol, report), indent=2))
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
@@ -140,7 +111,7 @@ def cmd_oracle(args) -> int:
         "seed": result.seed,
         "pass": gap <= tolerance,
     }
-    print(_to_json(record))
+    print(json.dumps(record, indent=2))
     return EXIT_OK if gap <= tolerance else EXIT_FAILED
 
 

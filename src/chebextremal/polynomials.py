@@ -1,24 +1,26 @@
-"""Dense real polynomials, Chebyshev families, and sup-norm estimation.
+"""Dense real polynomials, Chebyshev families, and sup norms.
 
 Polynomials are stored as ascending monomial coefficients at double
 precision.  Degrees are capped at 30 so that squared sums (degree up to 60,
 62 with the endpoint weight) stay acceptably conditioned in the monomial
 basis for |x| <= 10.
+
+The sup of a (weighted) sum of squares over [-b, b] is exact up to
+rounding: the sum is converted to a Chebyshev series in x/b, the roots of
+its derivative are found as colleague-matrix eigenvalues, and the family
+is evaluated at those critical points and at the endpoints.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.polynomial.chebyshev as cheb
 
 from .errors import DegreeLimitError, InvalidInputError
 
 MAX_DEGREE = 30
-
-#: half-width of the refinement bracket at which golden-section search stops
-REFINE_XTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,6 @@ class SupNormReport:
 
     sup: float
     argmax: float
-    attained_tol: float
 
 
 def chebyshev_t(n: int) -> Polynomial:
@@ -163,10 +164,12 @@ def _check_degree(n: int) -> None:
 def sup_sum_squares(polys, b: float, weighted: bool = False) -> SupNormReport:
     """Maximize sum(P_j(x)^2), optionally times (b^2 - x^2), over [-b, b].
 
-    The objective is sampled on a Chebyshev-spaced grid of 64*(D+1) points
-    (D = degree of the squared sum, weight included) and every bracketed
-    local maximum is refined by golden-section search to ``REFINE_XTOL``
-    in x.  The refined value never falls below the raw grid maximum.
+    The squared sum g is formed as a Chebyshev series in x/b (weight
+    included) and its maximum is taken over the endpoints and the real
+    parts of every root of g', clipped to [-b, b].  Complex roots are not
+    discarded: where g is nearly flat, rounding moves real critical points
+    off the axis.  Candidates are evaluated with the Horner
+    ``Polynomial.__call__``, so ``sup`` is the family's value at ``argmax``.
 
     Parameters
     ----------
@@ -183,71 +186,27 @@ def sup_sum_squares(polys, b: float, weighted: bool = False) -> SupNormReport:
         raise InvalidInputError("polynomial list must be nonempty")
     if not 0.0 < b <= 10.0:
         raise InvalidInputError(f"half-width must lie in (0, 10], got {b}")
-    degrees = [p.degree for p in polys if not p.is_zero]
-    maxdeg = max(degrees, default=0)
+    live = [p for p in polys if not p.is_zero]
+    maxdeg = max((p.degree for p in live), default=0)
     if maxdeg > MAX_DEGREE:
         raise DegreeLimitError(
             f"polynomial degree {maxdeg} exceeds the cap {MAX_DEGREE}"
         )
-    total_deg = 2 * maxdeg + (2 if weighted else 0)
 
-    coeff_arrays = [np.asarray(p.coeffs) for p in polys if not p.is_zero]
+    g = np.zeros(1)
+    for p in live:
+        c = cheb.poly2cheb(np.asarray(p.coeffs) * b ** np.arange(len(p.coeffs)))
+        g = cheb.chebadd(g, cheb.chebmul(c, c))
+    if weighted:
+        g = cheb.chebmul(g, [0.5 * b * b, 0.0, -0.5 * b * b])
+    # trailing terms below rounding of g' would blow up the colleague matrix
+    dg = cheb.chebder(g)
+    dg = cheb.chebtrim(dg, np.finfo(float).eps * np.abs(dg).max())
+    critical = np.clip(b * cheb.chebroots(dg).real, -b, b)
 
-    def objective(x):
-        total = x * 0.0
-        for c in coeff_arrays:
-            vals = x * 0.0
-            for ck in c[::-1]:
-                vals = vals * x + ck
-            total = total + vals * vals
-        if weighted:
-            total = total * (b * b - x * x)
-        return total
-
-    npts = 64 * (total_deg + 1)
-    # cosine-spaced nodes, endpoints included, ascending in x
-    grid = b * np.cos(np.linspace(math.pi, 0.0, npts))
-    values = objective(grid)
-
+    xs = np.concatenate(([-b, b], critical))
+    values = sum(p(xs) ** 2 for p in polys)
+    if weighted:
+        values = values * (b * b - xs * xs)
     i_best = int(np.argmax(values))
-    best_sup = float(values[i_best])
-    best_arg = float(grid[i_best])
-
-    # refine every bracketed local maximum (endpoints handled one-sided)
-    left = np.empty(npts)
-    right = np.empty(npts)
-    left[0], left[1:] = -np.inf, values[:-1]
-    right[-1], right[:-1] = -np.inf, values[1:]
-    for i in np.nonzero((values >= left) & (values >= right))[0]:
-        lo = grid[i - 1] if i > 0 else grid[0]
-        hi = grid[i + 1] if i < npts - 1 else grid[-1]
-        xm, fm = _golden_section_max(objective, float(lo), float(hi))
-        if fm > best_sup:
-            best_sup, best_arg = fm, xm
-
-    return SupNormReport(sup=best_sup, argmax=best_arg, attained_tol=REFINE_XTOL)
-
-
-def _golden_section_max(f, lo: float, hi: float, xtol: float = REFINE_XTOL):
-    """Golden-section maximization of a unimodal bracket, to xtol in x."""
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, c = lo, hi
-    x1 = c - ratio * (c - a)
-    x2 = a + ratio * (c - a)
-    f1, f2 = float(f(x1)), float(f(x2))
-    while c - a > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + ratio * (c - a)
-            f2 = float(f(x2))
-        else:
-            c, x2, f2 = x2, x1, f1
-            x1 = c - ratio * (c - a)
-            f1 = float(f(x1))
-    xm = 0.5 * (a + c)
-    fm = float(f(xm))
-    if f1 > fm:
-        xm, fm = x1, f1
-    if f2 > fm:
-        xm, fm = x2, f2
-    return xm, fm
+    return SupNormReport(sup=float(values[i_best]), argmax=float(xs[i_best]))

@@ -32,6 +32,7 @@ from .canonical import (
 )
 from .errors import InvalidInputError
 from .polynomials import (
+    MAX_DEGREE,
     Polynomial,
     SupNormReport,
     chebyshev_t,
@@ -55,8 +56,6 @@ EQUIMAX_TOL = 1e-9
 DUALITY_TOL = 1e-9
 OBJECTIVE_CONSISTENCY_RTOL = 1e-12
 
-MAX_N = 30
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -77,8 +76,12 @@ class ProblemSpec:
             raise InvalidInputError(
                 f"{self.kind}-kind indices must be >= {low}, got {idx[0]}"
             )
-        if idx[-1] > MAX_N:
-            raise InvalidInputError(f"max index {idx[-1]} exceeds the cap {MAX_N}")
+        # the second kind solves through the first kind on I + 1
+        cap = MAX_DEGREE if self.kind == KIND_FIRST else MAX_DEGREE - 1
+        if idx[-1] > cap:
+            raise InvalidInputError(
+                f"{self.kind}-kind max index {idx[-1]} exceeds the cap {cap}"
+            )
         if not 0.0 < self.b <= 10.0:
             raise InvalidInputError(f"half-width must lie in (0, 10], got {self.b}")
         object.__setattr__(self, "indices", idx)
@@ -137,7 +140,11 @@ def dual_moments(spec: ProblemSpec) -> CanonicalMomentSeq:
         if m in members:
             val = 1.0 - spec.b ** (-2 * (n - m)) / tail
             p2m = max(val, 0.5)
-            assert p2m < 1.0, "even dual moment reached 1 before the terminal index"
+            if p2m >= 1.0:
+                raise InvalidInputError(
+                    f"{spec}: even dual moment p_{2 * m} rounds to 1 at m = {m},"
+                    " before the terminal index"
+                )
         else:
             p2m = 0.5
         p[2 * m - 1] = p2m
@@ -186,8 +193,8 @@ def threshold_index(n: int, b: float, kind: str) -> int:
     """
     if kind not in (KIND_FIRST, KIND_SECOND):
         raise InvalidInputError(f"kind must be 'first' or 'second', got {kind!r}")
-    if not 0 <= n <= MAX_N:
-        raise InvalidInputError(f"n must lie in 0..{MAX_N}, got {n}")
+    if not 0 <= n <= MAX_DEGREE:
+        raise InvalidInputError(f"n must lie in 0..{MAX_DEGREE}, got {n}")
     if not 0.0 < b <= 10.0:
         raise InvalidInputError(f"half-width must lie in (0, 10], got {b}")
     t = b / 2.0
@@ -273,10 +280,7 @@ def closed_form_first_full(n: int, b: float) -> ExtremalSolution:
 
     for l = k..n.  The optimum is (2^{2k-2} / b^{2k-1}) U_{n-k}(b/2) / U_{n-k+1}(b/2).
     """
-    if not 1 <= n <= MAX_N:
-        raise InvalidInputError(f"n must lie in 1..{MAX_N}, got {n}")
-    if not 0.0 < b <= 10.0:
-        raise InvalidInputError(f"half-width must lie in (0, 10], got {b}")
+    ProblemSpec(KIND_FIRST, range(1, n + 1), b)  # validates n and b
     k = threshold_index(n, b, KIND_FIRST)
     t = b / 2.0
     u = lambda m: chebyshev_u_value(m, t)
@@ -322,10 +326,7 @@ def closed_form_first_pair(n: int, b: float) -> ExtremalSolution:
     optimal; above it both members are nonzero and the optimum drops to
     2^{2n-4} b^{-(2n-4)} / (b^2 - 1).  The branches agree at sqrt(2).
     """
-    if not 2 <= n <= MAX_N:
-        raise InvalidInputError(f"pair closed form needs n >= 2, got {n}")
-    if not 0.0 < b <= 10.0:
-        raise InvalidInputError(f"half-width must lie in (0, 10], got {b}")
+    ProblemSpec(KIND_FIRST, (n - 1, n), b)  # validates n and b
     two_regime = chebyshev_u_value(3, b / 2.0) > THRESHOLD_EPS  # b > sqrt(2)
     p = [0.5] * (2 * n)
     p[2 * n - 1] = 1.0
@@ -381,10 +382,7 @@ def closed_form_second_full(n: int, b: float) -> ExtremalSolution:
     For b <= sqrt(2) this collapses to the single rescaled second-kind
     Chebyshev polynomial U_n(x/b) / b.
     """
-    if not 0 <= n <= MAX_N:
-        raise InvalidInputError(f"n must lie in 0..{MAX_N}, got {n}")
-    if not 0.0 < b <= 10.0:
-        raise InvalidInputError(f"half-width must lie in (0, 10], got {b}")
+    ProblemSpec(KIND_SECOND, range(0, n + 1), b)  # validates n and b
     k = threshold_index(n, b, KIND_SECOND)
     t = b / 2.0
     u = lambda m: chebyshev_u_value(m, t)
@@ -426,10 +424,7 @@ def closed_form_second_pair(n: int, b: float) -> ExtremalSolution:
     above sqrt(2) both members are nonzero with optimum
     (2/b)^{2(n-1)} / (b^2 - 1).  The branches agree at sqrt(2).
     """
-    if not 1 <= n <= MAX_N:
-        raise InvalidInputError(f"pair closed form needs n >= 1, got {n}")
-    if not 0.0 < b <= 10.0:
-        raise InvalidInputError(f"half-width must lie in (0, 10], got {b}")
+    ProblemSpec(KIND_SECOND, (n - 1, n), b)  # validates n and b
     two_regime = chebyshev_u_value(3, b / 2.0) > THRESHOLD_EPS  # b > sqrt(2)
     if not two_regime:
         polys = {n - 1: Polynomial.zero(), n: (1.0 / b) * chebyshev_u(n).stretch(b)}

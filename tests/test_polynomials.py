@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebextremal import (
     DegreeLimitError,
@@ -173,3 +175,41 @@ class TestSupSumSquares:
     def test_all_zero_family(self):
         report = sup_sum_squares([Polynomial.zero()], 1.0)
         assert report.sup == 0.0
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_constant_family(self, weighted):
+        # g' vanishes identically when unweighted: only the endpoints remain
+        polys = [Polynomial((0.6,)), Polynomial.zero(), Polynomial((-0.8,))]
+        report = sup_sum_squares(polys, 1.5, weighted=weighted)
+        if weighted:
+            assert report.sup == pytest.approx(1.5**2, rel=1e-15)
+            assert report.argmax == pytest.approx(0.0, abs=1e-15)
+        else:
+            assert report.sup == pytest.approx(1.0, rel=1e-15)
+            assert abs(report.argmax) == 1.5
+
+
+def _family_value(polys, x, b, weighted):
+    total = sum(p(x) ** 2 for p in polys)
+    return total * (b * b - x * x) if weighted else total
+
+
+_coeff = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.lists(st.lists(_coeff, min_size=1, max_size=9), min_size=1, max_size=4),
+    b=st.floats(0.0, 10.0, exclude_min=True),
+    weighted=st.booleans(),
+)
+def test_sup_dominates_dense_grid(family, b, weighted):
+    polys = [Polynomial(tuple(cs)) for cs in family]
+    report = sup_sum_squares(polys, b, weighted=weighted)
+    assert -b <= report.argmax <= b
+    at_argmax = _family_value(polys, np.array([report.argmax]), b, weighted)
+    assert report.sup == at_argmax[0]
+    grid = np.linspace(-b, b, 2001)
+    grid_max = float(np.max(_family_value(polys, grid, b, weighted)))
+    # below the normal range doubles carry no relative precision at all
+    assert report.sup >= grid_max - 1e-12 * abs(grid_max) - np.finfo(float).tiny

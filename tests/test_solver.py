@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -54,6 +55,15 @@ class TestProblemSpec:
         with pytest.raises(InvalidInputError):
             ProblemSpec("first", (), 1.0)
 
+    def test_degree_caps(self):
+        # the second kind solves through the first kind on I + 1
+        assert ProblemSpec("first", range(1, 31), 2.0).n == 30
+        assert ProblemSpec("second", range(0, 30), 2.0).n == 29
+        with pytest.raises(InvalidInputError):
+            ProblemSpec("first", (31,), 2.0)
+        with pytest.raises(InvalidInputError):
+            ProblemSpec("second", range(0, 31), 2.0)
+
 
 class TestDualMoments:
     def test_singleton_clamps_everything(self):
@@ -79,6 +89,12 @@ class TestDualMoments:
     def test_second_kind_rejected(self):
         with pytest.raises(InvalidInputError):
             dual_moments(ProblemSpec("second", (0, 1), 1.0))
+
+    def test_moment_rounding_to_one_is_rejected(self):
+        # b^{-38} vanishes against 1, so p_22 rounds to 1 before p_60
+        spec = ProblemSpec("first", (11, 30), 9.312980080348801)
+        with pytest.raises(InvalidInputError, match="m = 11"):
+            dual_moments(spec)
 
 
 class TestActiveSet:
@@ -409,6 +425,21 @@ class TestVerifySolution:
         report = verify_solution(scaled, spec)
         assert not report.checks["feasible"]
         assert report.constraint_sup.sup == pytest.approx(1.0201, rel=1e-10)
+
+    def test_plateau_family_is_feasible_to_rounding(self):
+        # the exact sup of these double coefficients is 1 + 7.03e-9; a
+        # sampled scan once read 1 + 1.065e-8 from Horner rounding noise
+        spec = ProblemSpec("first", range(1, 31), 2.005474766178676)
+        sol = solve_first_kind(spec)
+        report = verify_solution(sol, spec)
+        assert report.checks["feasible"]
+        with mpmath.workdps(50):
+            x = mpmath.mpf(report.constraint_sup.argmax)
+            exact = sum(
+                mpmath.polyval([mpmath.mpf(c) for c in reversed(p.coeffs)], x) ** 2
+                for p in sol.polys.values()
+            )
+            assert abs(report.constraint_sup.sup - exact) <= 2e-9
 
     def test_dispatcher_routes_first_kind(self):
         spec = ProblemSpec("first", (1, 4), 1.2)
