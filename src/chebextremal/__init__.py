@@ -20,11 +20,9 @@ from .canonical import (
 from .errors import DegreeLimitError, InsufficientDataError, InvalidInputError
 from .oracle import (
     CertificateReport,
-    MomentMatrixSet,
     OracleResult,
     brute_force_max,
     duality_certificate,
-    moment_matrices,
 )
 from .polynomials import (
     Polynomial,
@@ -61,7 +59,6 @@ __all__ = [
     "ExtremalSolution",
     "InsufficientDataError",
     "InvalidInputError",
-    "MomentMatrixSet",
     "OracleResult",
     "Polynomial",
     "ProblemSpec",
@@ -81,7 +78,6 @@ __all__ = [
     "duality_certificate",
     "jacobi_coefficients",
     "l2_norms",
-    "moment_matrices",
     "monic_orthopolys",
     "reflected",
     "solve",

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import InvalidInputError
-from .oracle import ORACLE_MAX_N, brute_force_max
+from .oracle import brute_force_max
 from .solver import ProblemSpec, solve, verify_solution
 
 SCHEMA_VERSION = "1"
@@ -95,8 +95,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec = ProblemSpec(kind=args.kind, indices=_parse_indices(args.indices), b=args.b)
-    if spec.n > ORACLE_MAX_N:
-        raise InvalidInputError(f"oracle supports max index {ORACLE_MAX_N}")
     sol = solve(spec)
     result = brute_force_max(spec, budget=args.budget, seed=args.seed)
     gap = abs(sol.objective - result.best_value)

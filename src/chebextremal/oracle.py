@@ -10,12 +10,13 @@ Because numerator and constraint are both homogeneous of degree two, the
 maximum of R over all coefficient vectors equals the optimum of the
 constrained problem, so no penalty tuning is needed.
 
-The certificate checker rebuilds the discrete dual measure, forms the
-Hankel moment matrices M_j, the rank-one dual variables
-N_j = alpha_j a_j a_j' with a_j = sqrt(k_j) M_j^{-1} e_j, and evaluates the
-optimality equalities: sum_j trace(M_j N_j) = 1, the rank-one structure
-equation per index, and the min-equality tying the weights to the indices
-of minimal norm.
+The certificate checker rebuilds the discrete dual measure and, in double
+precision, its moment matrices M_j in the Chebyshev basis of the support's
+hull, each as R_j' R_j from one QR of the weighted Chebyshev-Vandermonde
+matrix.  It forms the rank-one dual variables N_j = alpha_j a_j a_j' with
+a_j = sqrt(k_j) M_j^{-1} e_j and evaluates the optimality equalities:
+sum_j trace(M_j N_j) = 1, the rank-one structure equation per index, and
+the min-equality tying the weights to the indices of minimal norm.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
+from numpy.polynomial.chebyshev import chebvander
 
-from .canonical import DiscreteMeasure, l2_norms, reflected, support_measure
+from .canonical import l2_norms, reflected, support_measure
 from .errors import InvalidInputError
 from .polynomials import Polynomial, sup_sum_squares
 from .solver import KIND_SECOND, ExtremalSolution, ProblemSpec
@@ -43,13 +46,6 @@ class OracleResult:
     best_coeffs: dict[int, Polynomial]
     evaluations: int
     seed: int
-
-
-@dataclass(frozen=True)
-class MomentMatrixSet:
-    """Hankel moment matrices of a discrete measure, one per index."""
-
-    matrices: dict[int, np.ndarray]
 
 
 @dataclass
@@ -209,120 +205,69 @@ def brute_force_max(
     )
 
 
-def moment_matrices(measure: DiscreteMeasure, indices) -> MomentMatrixSet:
-    """Hankel moment matrices M_j (entry (r, s) = moment of order r + s)."""
-    pts = np.asarray(measure.points)
-    wts = np.asarray(measure.weights)
-    nmax = max(indices)
-    moments = np.array([np.sum(wts * pts**m) for m in range(2 * nmax + 1)])
-    mats = {}
-    for j in indices:
-        mats[j] = np.array([[moments[r + s] for s in range(j + 1)] for r in range(j + 1)])
-    return MomentMatrixSet(matrices=mats)
-
-
-def _spd_solve_extended(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve in extended precision (matrices here are at most 31x31).
-
-    Hankel moment matrices reach condition numbers around 1e7 at the
-    supported sizes, which costs ~9 digits in double; the extra mantissa
-    bits of longdouble keep the certificate residuals near 1e-12.
-    Raises numpy.linalg.LinAlgError when M is not positive definite.
-    """
-    A = np.array(M, dtype=np.longdouble)
-    m = A.shape[0]
-    L = np.zeros_like(A)
-    for i in range(m):
-        for j in range(i + 1):
-            s = A[i, j] - np.dot(L[i, :j], L[j, :j])
-            if i == j:
-                if s <= 0.0:
-                    raise np.linalg.LinAlgError("matrix is not positive definite")
-                L[i, i] = np.sqrt(s)
-            else:
-                L[i, j] = s / L[j, j]
-    y = np.zeros(m, dtype=np.longdouble)
-    for i in range(m):
-        y[i] = (rhs[i] - np.dot(L[i, :i], y[:i])) / L[i, i]
-    x = np.zeros(m, dtype=np.longdouble)
-    for i in range(m - 1, -1, -1):
-        x[i] = (y[i] - np.dot(L[i + 1 :, i], x[i + 1 :])) / L[i, i]
-    return x
-
-
 def duality_certificate(sol: ExtremalSolution, spec: ProblemSpec) -> CertificateReport:
     """Evaluate the duality equality conditions for a solved instance.
 
     For the weighted kind the moment matrices absorb the weight
     (b^2 - x^2), under which the same equalities characterize optimality.
-    The per-index linear algebra runs in the scaled variable u = x/b; the
-    congruence by diag(b^i) leaves those residuals' meaning unchanged while
-    keeping the Hankel systems better conditioned, and the cross-index
-    min-equality is evaluated back in the original variable.
+    M_j is taken in the Chebyshev basis T_i((x - c)/h) of the hull
+    [c - h, c + h] of the support: one QR of sqrt(W) times the
+    Chebyshev-Vandermonde matrix at the support points gives
+    M_j = R_j' R_j for the leading (j+1)x(j+1) block R_j of R, so no
+    moment matrix is formed or factored.  This basis is a congruence of the
+    monomial Hankel matrices by a triangular matrix with diagonal
+    lambda_i = 2^(i-1)/h^i, the leading coefficients of T_i((x - c)/h), so
+    each equality keeps its meaning once k_j is scaled by lambda_j^2; the
+    cross-index min-equality undoes that scaling.
     """
     if not sol.dual_moments.terminating:
         raise InvalidInputError("certificate needs a terminating dual sequence")
     b = spec.b
-    weighted = spec.kind == KIND_SECOND
     measure = support_measure(sol.dual_moments)
-    u = np.asarray(measure.points, dtype=np.longdouble) / np.longdouble(b)
-    w = np.asarray(measure.weights, dtype=np.longdouble).copy()
-    if weighted:
-        w *= np.longdouble(b) * np.longdouble(b) * (1.0 - u * u)
-
-    # reference squared norms in the scaled variable (k_j * b^{-2j}); for the
-    # weighted kind the norm of degree j equals the unweighted one of degree
-    # j+1 under the reflected sequence
-    if weighted:
-        ks_raw = l2_norms(reflected(sol.dual_moments), spec.n + 1)
-        k_scaled = {j: ks_raw[j] * b ** (-2 * j) for j in spec.indices}
+    x = np.asarray(measure.points)
+    w = np.asarray(measure.weights)
+    # squared norms k_j by degree; for the weighted kind the norm of degree j
+    # equals the unweighted one of degree j+1 under the reflected sequence
+    if spec.kind == KIND_SECOND:
+        w = w * (b - x) * (b + x)
+        ks = l2_norms(reflected(sol.dual_moments), spec.n + 1)
     else:
-        ks_raw = l2_norms(sol.dual_moments, spec.n)
-        k_scaled = {j: ks_raw[j - 1] * b ** (-2 * j) for j in spec.indices}
+        ks = [1.0] + l2_norms(sol.dual_moments, spec.n)
+    c = 0.5 * (x[0] + x[-1])
+    h = 0.5 * (x[-1] - x[0]) if len(x) > 1 else 1.0
+    R = np.linalg.qr(np.sqrt(w)[:, None] * chebvander((x - c) / h, spec.n), mode="r")
 
     report = CertificateReport(trace_residual=math.inf)
-    inv_entries: dict[int, np.longdouble] = {}
-    a_vecs: dict[int, np.ndarray] = {}
-    mats: dict[int, np.ndarray] = {}
-    moments = np.array([np.sum(w * u**m) for m in range(2 * spec.n + 1)])
+    trace_total = weight_total = weighted_sum = 0.0
+    kmin = math.inf
     for j in spec.indices:
-        M = np.array([[moments[r + s] for s in range(j + 1)] for r in range(j + 1)])
-        mats[j] = M
-        e = np.zeros(j + 1, dtype=np.longdouble)
-        e[j] = 1.0
-        try:
-            minv_e = _spd_solve_extended(M, e)
-        except np.linalg.LinAlgError:
+        # M_j is singular when fewer than j+1 support points carry weight
+        if np.count_nonzero(w) < j + 1:
             report.failed_index = j
             return report
-        inv_entries[j] = minv_e[j]
-        a_vecs[j] = np.sqrt(np.longdouble(k_scaled[j])) * minv_e
-        report.norm_identity_residuals[j] = float(abs(inv_entries[j] * k_scaled[j] - 1.0))
-
-    trace_total = np.longdouble(0.0)
-    weight_total = np.longdouble(0.0)
-    weighted_sum = np.longdouble(0.0)
-    for j in spec.indices:
-        alpha = np.longdouble(sol.alphas[j])
-        a = a_vecs[j]
-        M = mats[j]
-        N = alpha * np.outer(a, a)
-        trace_total += np.trace(M @ N)
-        lhs = M @ N
-        e = np.zeros(j + 1, dtype=np.longdouble)
+        Rj = R[: j + 1, : j + 1]
+        lam = 2.0 ** (j - 1) / h**j if j else 1.0
+        k = ks[j] * lam * lam
+        # M_j^{-1} e_j: R_j' y = e_j is lower triangular, so y = e_j / R_jj
+        e = np.zeros(j + 1)
         e[j] = 1.0
-        rhs = np.outer(e, e) @ N / inv_entries[j]
-        scale = max(np.linalg.norm(lhs.astype(float)),
-                    np.linalg.norm(rhs.astype(float)), 1e-300)
-        report.structure_residuals[j] = float(
-            np.linalg.norm((lhs - rhs).astype(float)) / scale
-        )
+        minv_e = scipy.linalg.solve_triangular(Rj, e / Rj[j, j])
+        inv_entry = minv_e[j]
+        report.norm_identity_residuals[j] = float(abs(inv_entry * k - 1.0))
+
+        a = math.sqrt(k) * minv_e
+        N = sol.alphas[j] * np.outer(a, a)
+        lhs = Rj.T @ (Rj @ N)
+        rhs = np.outer(e, N[j]) / inv_entry
+        trace_total += np.trace(lhs)
+        scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
+        report.structure_residuals[j] = float(np.linalg.norm(lhs - rhs) / scale)
         # the min-equality compares across indices, so restore the original
-        # variable there: e_j' N_j e_j and e_j' M_j^{-1} e_j pick up b^{-2j}
-        weight_total += N[j, j] * np.longdouble(b) ** (-2 * j)
-        weighted_sum += N[j, j] / inv_entries[j]
+        # variable: e_j' N_j e_j and 1/(e_j' M_j^{-1} e_j) pick up lambda_j^2
+        weight_total += N[j, j] * lam * lam
+        weighted_sum += N[j, j] / inv_entry
+        kmin = min(kmin, 1.0 / inv_entry / lam / lam)
     report.trace_residual = float(abs(trace_total - 1.0))
-    kmin = min(np.longdouble(b) ** (2 * j) / inv_entries[j] for j in spec.indices)
     report.min_equality_residuals = (
         float(abs(kmin * weight_total - 1.0)),
         float(abs(weighted_sum - 1.0)),

@@ -21,6 +21,7 @@ on the indices attaining the minimal norm.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .canonical import (
@@ -84,6 +85,13 @@ class ProblemSpec:
             )
         if not 0.0 < self.b <= 10.0:
             raise InvalidInputError(f"half-width must lie in (0, 10], got {self.b}")
+        # the optimum is at least the lone-Chebyshev value 4^(d-1)/b^(2d),
+        # d = n for the first kind and n + 1 for the second
+        d = idx[-1] if self.kind == KIND_FIRST else idx[-1] + 1
+        if (d - 1) * math.log(4.0) - 2 * d * math.log(self.b) >= math.log(sys.float_info.max):
+            raise InvalidInputError(
+                f"half-width {self.b} is too small: the optimum overflows a double"
+            )
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "b", float(self.b))
 

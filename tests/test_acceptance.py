@@ -163,7 +163,7 @@ def test_04_feasibility_and_attainment():
 def test_05_duality_certificate():
     worst_eq = 0.0
     worst_id = 0.0
-    for n in range(1, 9):
+    for n in range(1, 17):
         for b in CERTIFICATE_BS:
             spec = ProblemSpec("first", tuple(range(1, n + 1)), b)
             cert = duality_certificate(solve_first_kind(spec), spec)
@@ -179,7 +179,7 @@ def test_05_duality_certificate():
     _report(
         "5 duality-certificate",
         ok,
-        f"n<=8, 5 widths: equality residuals {worst_eq:.2e} (tol 1e-8), "
+        f"n<=16, 5 widths: equality residuals {worst_eq:.2e} (tol 1e-8), "
         f"norm identity {worst_id:.2e} (tol 1e-9)",
     )
 

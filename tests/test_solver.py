@@ -64,6 +64,21 @@ class TestProblemSpec:
         with pytest.raises(InvalidInputError):
             ProblemSpec("second", range(0, 31), 2.0)
 
+    @pytest.mark.parametrize(
+        "kind, indices, b",
+        # each optimum overflows a double, so solve could not represent it
+        [("first", (30,), 1e-6), ("first", (1,), 1e-300), ("second", (0,), 1e-200)],
+    )
+    def test_half_width_whose_optimum_overflows_is_rejected(self, kind, indices, b):
+        with pytest.raises(InvalidInputError):
+            ProblemSpec(kind, indices, b)
+
+    def test_smallest_half_widths_still_solve(self):
+        # 1/b^2 = 1e300 and 4^29/b^60 ~ 2.5e299 are finite optima
+        assert solve(ProblemSpec("first", (1,), 1e-150)).objective == pytest.approx(1e300)
+        sol = solve(ProblemSpec("first", (30,), 2e-5))
+        assert sol.objective == pytest.approx(4.0**29 / 2e-5**60, rel=1e-9)
+
 
 class TestDualMoments:
     def test_singleton_clamps_everything(self):
