@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InsufficientDataError, InvalidInputError
 from .polynomials import Polynomial
@@ -162,8 +161,9 @@ def support_measure(cm: CanonicalMomentSeq) -> DiscreteMeasure:
     Requires an even-length sequence ending in 0 or 1.  Ending in 1 at index
     2n gives n+1 support points (endpoints included); ending in 0 at index
     2n gives n interior points.  Points are the eigenvalues of the symmetric
-    tridiagonal Jacobi matrix, weights the squared first components of its
-    unit eigenvectors.
+    tridiagonal Jacobi matrix (at most 31 rows, so numpy's dense ``eigh``
+    of it costs no more than a tridiagonal solver), weights the squared
+    first components of its unit eigenvectors.
     """
     if not cm.terminating:
         raise InvalidInputError("support recovery needs a terminating sequence")
@@ -176,7 +176,7 @@ def support_measure(cm: CanonicalMomentSeq) -> DiscreteMeasure:
     diag, off = jacobi_coefficients(cm, size)
     if size == 1:
         return DiscreteMeasure(points=(diag[0],), weights=(1.0,))
-    vals, vecs = scipy.linalg.eigh_tridiagonal(np.asarray(diag), np.asarray(off))
+    vals, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     weights = vecs[0, :] ** 2
     return DiscreteMeasure(points=tuple(float(v) for v in vals),
                            weights=tuple(float(w) for w in weights))

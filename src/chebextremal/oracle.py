@@ -17,6 +17,11 @@ matrix.  It forms the rank-one dual variables N_j = alpha_j a_j a_j' with
 a_j = sqrt(k_j) M_j^{-1} e_j and evaluates the optimality equalities:
 sum_j trace(M_j N_j) = 1, the rank-one structure equation per index, and
 the min-equality tying the weights to the indices of minimal norm.
+
+Only these two checks use scipy (``scipy.optimize`` for the search,
+``scipy.linalg.solve_triangular`` for the certificate), and each imports it
+on its first call, so importing this module, and with it the solver and the
+CLI ``solve`` path, loads numpy alone.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 from numpy.polynomial.chebyshev import chebvander
 
 from .canonical import l2_norms, reflected, support_measure
@@ -92,6 +95,8 @@ def brute_force_max(
     rigorous sup so it is feasible and ``best_value`` is honest.  Runs are
     merged by (value, restart index), so the output is reproducible.
     """
+    import scipy.optimize
+
     n = spec.n
     if n > ORACLE_MAX_N:
         raise InvalidInputError(f"oracle is desk-scale only (n <= {ORACLE_MAX_N})")
@@ -220,6 +225,8 @@ def duality_certificate(sol: ExtremalSolution, spec: ProblemSpec) -> Certificate
     each equality keeps its meaning once k_j is scaled by lambda_j^2; the
     cross-index min-equality undoes that scaling.
     """
+    import scipy.linalg
+
     if not sol.dual_moments.terminating:
         raise InvalidInputError("certificate needs a terminating dual sequence")
     b = spec.b

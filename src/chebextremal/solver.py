@@ -69,7 +69,11 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in (KIND_FIRST, KIND_SECOND):
             raise InvalidInputError(f"kind must be 'first' or 'second', got {self.kind!r}")
-        idx = tuple(sorted(set(int(i) for i in self.indices)))
+        raw = tuple(self.indices)
+        ints = tuple(int(i) for i in raw)
+        if ints != raw:
+            raise InvalidInputError(f"indices must be integers, got {raw}")
+        idx = tuple(sorted(set(ints)))
         if not idx:
             raise InvalidInputError("index set must be nonempty")
         low = 1 if self.kind == KIND_FIRST else 0
@@ -201,8 +205,9 @@ def threshold_index(n: int, b: float, kind: str) -> int:
     """
     if kind not in (KIND_FIRST, KIND_SECOND):
         raise InvalidInputError(f"kind must be 'first' or 'second', got {kind!r}")
-    if not 0 <= n <= MAX_DEGREE:
-        raise InvalidInputError(f"n must lie in 0..{MAX_DEGREE}, got {n}")
+    low = 1 if kind == KIND_FIRST else 0
+    if not low <= n <= MAX_DEGREE:
+        raise InvalidInputError(f"{kind}-kind n must lie in {low}..{MAX_DEGREE}, got {n}")
     if not 0.0 < b <= 10.0:
         raise InvalidInputError(f"half-width must lie in (0, 10], got {b}")
     t = b / 2.0

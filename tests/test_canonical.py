@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chebextremal import (
     CanonicalMomentSeq,
@@ -15,6 +16,7 @@ from chebextremal import (
     l2_norms,
     monic_orthopolys,
     reflected,
+    solve,
     support_measure,
     zetas,
 )
@@ -143,6 +145,26 @@ class TestSupportMeasure:
         diag, off = jacobi_coefficients(cm, 2)
         assert np.sum(wts * pts) == pytest.approx(diag[0], abs=1e-13)
         assert np.sum(wts * pts**2) == pytest.approx(diag[0] ** 2 + off[0] ** 2, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ProblemSpec("first", range(1, 31), b) for b in (1.2, 2.0, 5.0)]
+        + [
+            ProblemSpec("first", (29, 30), 5.0),
+            ProblemSpec("first", (2, 5, 9, 16, 23, 30), 2.0),
+            ProblemSpec("second", range(0, 30), 2.0),
+        ],
+    )
+    def test_agrees_with_tridiagonal_solver(self, spec):
+        # numpy's dense eigh of the Jacobi matrix against scipy's
+        # tridiagonal solver on the largest dual measures the solver builds
+        cm = solve(spec).dual_moments
+        size = len(cm.p) // 2 + (1 if cm.p[-1] == 1.0 else 0)
+        diag, off = jacobi_coefficients(cm, size)
+        points, vecs = scipy.linalg.eigh_tridiagonal(np.asarray(diag), np.asarray(off))
+        measure = support_measure(cm)
+        np.testing.assert_allclose(measure.points, points, rtol=0, atol=1e-14 * spec.b)
+        np.testing.assert_allclose(measure.weights, vecs[0, :] ** 2, rtol=0, atol=1e-14)
 
     def test_interior_termination_point_count(self):
         # p ending in 0 at index 2n carries n interior points

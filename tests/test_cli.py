@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -191,3 +196,52 @@ class TestArgumentErrors:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--kind", "first", "--b", "1")
         assert code == 1
+
+
+_NUMPY_ONLY_SCRIPT = textwrap.dedent(
+    """
+    import json, sys
+    from chebextremal import cli
+
+    codes = [
+        cli.main(["solve", "--kind", "first", "--indices", "1,2,3", "--b", "2"]),
+        cli.main(["solve", "--kind", "second", "--indices", "0,1,2", "--b", "2"]),
+        cli.main(["sweep", "--indices", "1,3", "--b-min", "1", "--b-max", "2",
+                  "--steps", "5"]),
+    ]
+    scipy_loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    from chebextremal import ProblemSpec, brute_force_max, duality_certificate, solve
+
+    spec = ProblemSpec("first", (1, 2), 2.0)
+    sol = solve(spec)
+    cert = duality_certificate(sol, spec)
+    oracle = brute_force_max(spec, budget=1000, seed=0)
+    print(json.dumps({
+        "codes": codes,
+        "scipy_loaded": scipy_loaded,
+        "certificate_ok": cert.ok,
+        "certificate_max_residual": max(cert.residuals()),
+        "objective": sol.objective,
+        "oracle_value": oracle.best_value,
+    }))
+    """
+)
+
+
+class TestStartup:
+    def test_solve_path_loads_numpy_alone(self):
+        # a fresh interpreter, because pytest plugins may load scipy here
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert record["codes"] == [0, 0, 0]
+        assert record["scipy_loaded"] == []
+        # the two scipy consumers still import it on their first call
+        assert record["certificate_ok"]
+        assert record["certificate_max_residual"] <= 1e-8
+        objective = record["objective"]
+        assert 0.9 * objective <= record["oracle_value"] <= objective * (1.0 + 1e-9)

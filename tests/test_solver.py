@@ -36,6 +36,15 @@ class TestProblemSpec:
         assert spec.indices == (1, 2, 3)
         assert spec.n == 3
 
+    @pytest.mark.parametrize("indices", [(2.5, 3), (1, 2, 3.000001), np.array([1.5, 2.0])])
+    def test_non_integral_index_rejected(self, indices):
+        with pytest.raises(InvalidInputError, match="integers"):
+            ProblemSpec("first", indices, 1.0)
+
+    def test_integral_index_types_accepted(self):
+        assert ProblemSpec("first", np.array([1, 2, 3]), 2.0).indices == (1, 2, 3)
+        assert ProblemSpec("first", (np.int64(2), 3.0), 2.0).indices == (2, 3)
+
     def test_first_kind_rejects_zero_degree(self):
         with pytest.raises(InvalidInputError):
             ProblemSpec("first", (0, 1), 1.0)
@@ -168,6 +177,14 @@ class TestThresholdIndex:
     @pytest.mark.parametrize("n", range(0, 7))
     def test_second_kind_narrow_interval(self, n):
         assert threshold_index(n, 1.0, "second") == n + 1
+
+    def test_smallest_n_per_kind(self):
+        with pytest.raises(InvalidInputError):
+            threshold_index(0, 1.0, "first")
+        with pytest.raises(InvalidInputError):
+            threshold_index(-1, 1.0, "second")
+        assert threshold_index(1, 1.0, "first") == 1
+        assert threshold_index(0, 1.0, "second") == 1
 
     def test_second_kind_wide_interval_floors_at_one(self):
         for n in range(0, 7):
