@@ -1,10 +1,10 @@
 """Extremal polynomial families with maximal squared leading coefficients.
 
-Solves, in closed form and by a dual canonical-moment construction, the
-problem of maximizing the sum of squared leading coefficients of a family
-of polynomials with prescribed degrees, subject to a sup-norm bound on the
-(optionally endpoint-weighted) sum of their squares over [-b, b].  Ships
-an independent brute-force oracle and duality-certificate checks.
+Solves, by a dual canonical-moment construction, the problem of maximizing
+the sum of squared leading coefficients of a family of polynomials with
+prescribed degrees, subject to a sup-norm bound on the (optionally
+endpoint-weighted) sum of their squares over [-b, b].  Ships an independent
+brute-force oracle and duality-certificate checks.
 """
 
 from .canonical import (
@@ -27,8 +27,6 @@ from .oracle import (
 from .polynomials import (
     Polynomial,
     SupNormReport,
-    chebyshev_t,
-    chebyshev_u,
     chebyshev_u_value,
     sup_sum_squares,
 )
@@ -38,10 +36,6 @@ from .solver import (
     VerificationReport,
     active_set,
     alpha_weights,
-    closed_form_first_full,
-    closed_form_first_pair,
-    closed_form_second_full,
-    closed_form_second_pair,
     dual_moments,
     solve,
     solve_first_kind,
@@ -67,13 +61,7 @@ __all__ = [
     "active_set",
     "alpha_weights",
     "brute_force_max",
-    "chebyshev_t",
-    "chebyshev_u",
     "chebyshev_u_value",
-    "closed_form_first_full",
-    "closed_form_first_pair",
-    "closed_form_second_full",
-    "closed_form_second_pair",
     "dual_moments",
     "duality_certificate",
     "jacobi_coefficients",

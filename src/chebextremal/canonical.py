@@ -103,19 +103,55 @@ def monic_orthopolys(cm: CanonicalMomentSeq, n: int) -> list[Polynomial]:
         raise InvalidInputError(f"n must be nonnegative, got {n}")
     if n >= 1:
         _require_moments(cm, 2 * n - 1, f"P_{n}")
-    z = _zetas_padded(cm, max(2 * n - 1, 1))
+    z = [0.0] + _zetas_padded(cm, max(2 * n - 1, 1))  # z[j] = zeta_j
     b = cm.b
-    out = [Polynomial((1.0,))]
-    if n == 0:
-        return out
+    diag = [-b * (1.0 - 2.0 * z[2 * j] - 2.0 * z[2 * j + 1]) for j in range(n)]
+    squares = [(2.0 * b) ** 2 * z[2 * j - 1] * z[2 * j] for j in range(1, n)]
+    return monic_from_recurrence(diag, squares)
+
+
+def monic_from_recurrence(diag, squares) -> list[Polynomial]:
+    """Monic P_0..P_m from P_{j+1} = (x - a_j) P_j - b_j^2 P_{j-1}.
+
+    ``diag`` holds the m entries a_0..a_{m-1}, ``squares`` the m - 1
+    entries b_1^2..b_{m-1}^2 (``lanczos_recurrence``'s output).
+    """
     x = Polynomial((0.0, 1.0))
-    out.append(x + Polynomial((b * (1.0 - 2.0 * z[0]),)))
-    for j in range(1, n):
-        shift = b * (1.0 - 2.0 * z[2 * j - 1] - 2.0 * z[2 * j])
-        square = (2.0 * b) ** 2 * z[2 * j - 2] * z[2 * j - 1]
-        nxt = (x + Polynomial((shift,))) * out[j] - square * out[j - 1]
+    out = [Polynomial((1.0,))]
+    for j, a in enumerate(diag):
+        nxt = (x + Polynomial((-a,))) * out[j]
+        if j:
+            nxt = nxt - squares[j - 1] * out[j - 1]
         out.append(nxt)
     return out
+
+
+def lanczos_recurrence(points, weights, m: int):
+    """Diagonal a_0..a_{m-1} and squared off-diagonal b_1^2..b_{m-1}^2.
+
+    Recurrence coefficients P_{j+1} = (x - a_j) P_j - b_j^2 P_{j-1} of the
+    monic orthogonal polynomials of the discrete measure sum_k w_k delta_{x_k}
+    (weights need not sum to 1), by Lanczos on diag(x) started from
+    sqrt(w): the Stieltjes procedure in its stable form (Gautschi,
+    *Orthogonal Polynomials*, 2004, sec. 2.2).  Each new vector is
+    reorthogonalized against all earlier ones in two Gram-Schmidt passes;
+    with at most 31 points that costs nothing.  Needs at least m points
+    of positive weight.
+    """
+    x = np.asarray(points, dtype=float)
+    basis = np.empty((m, len(x)))
+    q = np.sqrt(np.asarray(weights, dtype=float))
+    diag: list[float] = []
+    squares: list[float] = []
+    for j in range(m):
+        basis[j] = q / np.linalg.norm(q)
+        q = x * basis[j]
+        diag.append(float(basis[j] @ q))
+        if j + 1 < m:
+            for _ in range(2):
+                q = q - basis[: j + 1].T @ (basis[: j + 1] @ q)
+            squares.append(float(q @ q))
+    return diag, squares
 
 
 def l2_norms(cm: CanonicalMomentSeq, n: int) -> list[float]:

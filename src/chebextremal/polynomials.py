@@ -1,4 +1,4 @@
-"""Dense real polynomials, Chebyshev families, and sup norms.
+"""Dense real polynomials, Chebyshev U values, and sup norms.
 
 Polynomials are stored as ascending monomial coefficients at double
 precision.  Degrees are capped at 30 so that squared sums (degree up to 60,
@@ -110,34 +110,6 @@ class SupNormReport:
     argmax: float
 
 
-def chebyshev_t(n: int) -> Polynomial:
-    """Chebyshev polynomial of the first kind T_n on [-1, 1].
-
-    Built from T_0 = 1, T_1 = x, T_{k+1} = 2x T_k - T_{k-1}.  For an
-    interval [-b, b] compose with x/b via ``chebyshev_t(n).stretch(b)``.
-    """
-    _check_degree(n)
-    if n == 0:
-        return Polynomial((1.0,))
-    prev, cur = Polynomial((1.0,)), Polynomial((0.0, 1.0))
-    two_x = Polynomial((0.0, 2.0))
-    for _ in range(n - 1):
-        prev, cur = cur, two_x * cur - prev
-    return cur
-
-
-def chebyshev_u(n: int) -> Polynomial:
-    """Chebyshev polynomial of the second kind U_n on [-1, 1]."""
-    _check_degree(n)
-    if n == 0:
-        return Polynomial((1.0,))
-    prev, cur = Polynomial((1.0,)), Polynomial((0.0, 2.0))
-    two_x = Polynomial((0.0, 2.0))
-    for _ in range(n - 1):
-        prev, cur = cur, two_x * cur - prev
-    return cur
-
-
 def chebyshev_u_value(n: int, t: float) -> float:
     """U_n(t) by forward recurrence, with U_{-1} = 0 and U_{-2} = -1."""
     if n == -1:
@@ -152,13 +124,6 @@ def chebyshev_u_value(n: int, t: float) -> float:
     for _ in range(n - 1):
         prev, cur = cur, 2.0 * t * cur - prev
     return cur
-
-
-def _check_degree(n: int) -> None:
-    if n < 0:
-        raise InvalidInputError(f"degree must be nonnegative, got {n}")
-    if n > MAX_DEGREE:
-        raise DegreeLimitError(f"degree {n} exceeds the cap {MAX_DEGREE}")
 
 
 def sup_sum_squares(polys, b: float, weighted: bool = False) -> SupNormReport:

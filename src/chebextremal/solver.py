@@ -5,11 +5,10 @@ with n = max(I):
 
 * ``first``: maximize sum of squared leading coefficients subject to
   sup_{[-b,b]} sum_j P_j(x)^2 <= 1.  Solved for arbitrary I by a dual
-  canonical-moment construction, plus closed forms for I = {1..n} and
-  I = {n-1, n}.
+  canonical-moment construction.
 * ``second``: the (b^2 - x^2)-weighted variant on I subset of {0..n}.
-  Closed forms for I = {0..n} and I = {n-1, n}; no general solver (the
-  dual construction is only available for the first kind).
+  Solved for arbitrary I by the same construction on the first kind on
+  I + 1, whose reflected dual measure carries the weighted family.
 
 The optimum of the first kind equals 1/k_n(xi*) where xi* minimizes, over
 probability measures on [-b, b], the largest reciprocal squared norm of
@@ -24,9 +23,13 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .canonical import (
     CanonicalMomentSeq,
     l2_norms,
+    lanczos_recurrence,
+    monic_from_recurrence,
     monic_orthopolys,
     reflected,
     support_measure,
@@ -36,8 +39,6 @@ from .polynomials import (
     MAX_DEGREE,
     Polynomial,
     SupNormReport,
-    chebyshev_t,
-    chebyshev_u,
     chebyshev_u_value,
     sup_sum_squares,
 )
@@ -56,6 +57,15 @@ ATTAINMENT_TOL = 1e-8
 EQUIMAX_TOL = 1e-9
 DUALITY_TOL = 1e-9
 OBJECTIVE_CONSISTENCY_RTOL = 1e-12
+
+
+def _max_index(kind: str) -> int:
+    """Largest prescribed degree of a ``kind`` problem.
+
+    The second kind solves through the first kind on I + 1, so its cap is
+    one below the first kind's.
+    """
+    return MAX_DEGREE if kind == KIND_FIRST else MAX_DEGREE - 1
 
 
 @dataclass(frozen=True)
@@ -81,8 +91,7 @@ class ProblemSpec:
             raise InvalidInputError(
                 f"{self.kind}-kind indices must be >= {low}, got {idx[0]}"
             )
-        # the second kind solves through the first kind on I + 1
-        cap = MAX_DEGREE if self.kind == KIND_FIRST else MAX_DEGREE - 1
+        cap = _max_index(self.kind)
         if idx[-1] > cap:
             raise InvalidInputError(
                 f"{self.kind}-kind max index {idx[-1]} exceeds the cap {cap}"
@@ -206,8 +215,8 @@ def threshold_index(n: int, b: float, kind: str) -> int:
     if kind not in (KIND_FIRST, KIND_SECOND):
         raise InvalidInputError(f"kind must be 'first' or 'second', got {kind!r}")
     low = 1 if kind == KIND_FIRST else 0
-    if not low <= n <= MAX_DEGREE:
-        raise InvalidInputError(f"{kind}-kind n must lie in {low}..{MAX_DEGREE}, got {n}")
+    if not low <= n <= _max_index(kind):
+        raise InvalidInputError(f"{kind}-kind n must lie in {low}..{_max_index(kind)}, got {n}")
     if not 0.0 < b <= 10.0:
         raise InvalidInputError(f"half-width must lie in (0, 10], got {b}")
     t = b / 2.0
@@ -228,147 +237,14 @@ def threshold_index(n: int, b: float, kind: str) -> int:
 
 
 def solve_first_kind(spec: ProblemSpec) -> ExtremalSolution:
-    """Solve the unweighted problem for an arbitrary index set.
-
-    Chains the dual construction: dual moments -> monic orthogonal
-    polynomials -> squared norms -> alpha weights, then scales each active
-    polynomial by sqrt(alpha_j / k_j).  The objective is 1/k_n.
-    """
+    """``solve`` for a first-kind spec; any other kind is rejected."""
     if spec.kind != KIND_FIRST:
         raise InvalidInputError("solve_first_kind expects a first-kind spec")
-    n = spec.n
-    cm = dual_moments(spec)
-    monics = monic_orthopolys(cm, n)
-    ks = l2_norms(cm, n)
-    act = active_set(cm, spec)
-    alphas_all = alpha_weights(cm, n)
-
-    polys: dict[int, Polynomial] = {}
-    alphas: dict[int, float] = {}
-    for j in spec.indices:
-        a = alphas_all[j - 1]
-        alphas[j] = a
-        if a <= 0.0:
-            polys[j] = Polynomial.zero()
-        else:
-            scaled = math.sqrt(a / ks[j - 1]) * monics[j]
-            polys[j] = _positive_leading(scaled)
-    objective = 1.0 / ks[n - 1]
-
-    phase = None
-    if spec.indices == tuple(range(1, n + 1)):
-        phase = threshold_index(n, spec.b, KIND_FIRST)
-    return ExtremalSolution(
-        polys=polys,
-        alphas=alphas,
-        objective=objective,
-        dual_moments=cm,
-        active_set=act,
-        phase_index=phase,
-    )
+    return solve(spec)
 
 
 def _positive_leading(p: Polynomial) -> Polynomial:
     return -p if p.leading < 0.0 else p
-
-
-def _u_poly(m: int) -> Polynomial:
-    """U_m as a Polynomial, honoring U_{-1} = 0 and U_{-2} = -1."""
-    if m == -1:
-        return Polynomial.zero()
-    if m == -2:
-        return Polynomial((-1.0,))
-    return chebyshev_u(m)
-
-
-def closed_form_first_full(n: int, b: float) -> ExtremalSolution:
-    """Closed form for the unweighted problem on I = {1..n}.
-
-    With phase index k, the polynomials of degree l < k vanish and
-
-        P_l = beta_l [ T_k(x/b) U_{l-k}(x/2)
-                       - (U_{n-k+1}(b/2) / U_{n-k}(b/2)) T_{k-1}(x/b) U_{l-1-k}(x/2) ]
-
-        beta_l = sqrt(b U_{2n-2l+1}(b/2)) / U_{n-k+1}(b/2)
-
-    for l = k..n.  The optimum is (2^{2k-2} / b^{2k-1}) U_{n-k}(b/2) / U_{n-k+1}(b/2).
-    """
-    ProblemSpec(KIND_FIRST, range(1, n + 1), b)  # validates n and b
-    k = threshold_index(n, b, KIND_FIRST)
-    t = b / 2.0
-    u = lambda m: chebyshev_u_value(m, t)
-    ratio = u(n - k + 1) / u(n - k)
-
-    t_k = chebyshev_t(k).stretch(b)
-    t_km1 = chebyshev_t(k - 1).stretch(b)
-    polys: dict[int, Polynomial] = {}
-    alphas: dict[int, float] = {}
-    denom = u(n - k) * u(n - k + 1)
-    for l in range(1, n + 1):
-        if l <= k - 1:
-            polys[l] = Polynomial.zero()
-            alphas[l] = 0.0
-            continue
-        beta = math.sqrt(b * u(2 * n - 2 * l + 1)) / u(n - k + 1)
-        shape = t_k * _u_poly(l - k).stretch(2.0) - ratio * (
-            t_km1 * _u_poly(l - 1 - k).stretch(2.0)
-        )
-        polys[l] = _positive_leading(beta * shape)
-        alphas[l] = u(2 * n - 2 * l + 1) / denom
-    objective = 2.0 ** (2 * k - 2) / b ** (2 * k - 1) * u(n - k) / u(n - k + 1)
-
-    # dual moments straight from the phase formula: p_{2j} = U_{n-j+1} / (b U_{n-j})
-    p = [0.5] * (2 * n)
-    for j in range(k, n + 1):
-        p[2 * j - 1] = u(n - j + 1) / (b * u(n - j))
-    p[2 * n - 1] = 1.0
-    return ExtremalSolution(
-        polys=polys,
-        alphas=alphas,
-        objective=objective,
-        dual_moments=CanonicalMomentSeq(b=b, p=tuple(p)),
-        active_set=tuple(range(k, n + 1)),
-        phase_index=k,
-    )
-
-
-def closed_form_first_pair(n: int, b: float) -> ExtremalSolution:
-    """Closed form for the unweighted problem on I = {n-1, n}.
-
-    Below b = sqrt(2) the rescaled first-kind Chebyshev polynomial alone is
-    optimal; above it both members are nonzero and the optimum drops to
-    2^{2n-4} b^{-(2n-4)} / (b^2 - 1).  The branches agree at sqrt(2).
-    """
-    ProblemSpec(KIND_FIRST, (n - 1, n), b)  # validates n and b
-    two_regime = chebyshev_u_value(3, b / 2.0) > THRESHOLD_EPS  # b > sqrt(2)
-    p = [0.5] * (2 * n)
-    p[2 * n - 1] = 1.0
-    if not two_regime:
-        polys = {n - 1: Polynomial.zero(), n: chebyshev_t(n).stretch(b)}
-        alphas = {n - 1: 0.0, n: 1.0}
-        objective = 2.0 ** (2 * n - 2) / b ** (2 * n)
-        active: tuple[int, ...] = (n,)
-        phase = n
-    else:
-        b2 = b * b
-        p_n1 = (b * math.sqrt(b2 - 2.0) / (b2 - 1.0)) * chebyshev_t(n - 1).stretch(b)
-        p_n = (1.0 / (2.0 * (b2 - 1.0))) * (
-            b2 * chebyshev_t(n).stretch(b) - (b2 - 2.0) * chebyshev_t(n - 2).stretch(b)
-        )
-        polys = {n - 1: _positive_leading(p_n1), n: _positive_leading(p_n)}
-        alphas = {n - 1: (b2 - 2.0) / (b2 - 1.0), n: 1.0 / (b2 - 1.0)}
-        objective = 2.0 ** (2 * n - 4) * b ** (-(2 * n - 4)) / (b2 - 1.0)
-        p[2 * n - 3] = 1.0 - 1.0 / b2
-        active = (n - 1, n)
-        phase = n - 1
-    return ExtremalSolution(
-        polys=polys,
-        alphas=alphas,
-        objective=objective,
-        dual_moments=CanonicalMomentSeq(b=b, p=tuple(p)),
-        active_set=active,
-        phase_index=phase,
-    )
 
 
 def _lifted_first_spec(indices, b: float) -> ProblemSpec:
@@ -381,104 +257,65 @@ def _lifted_first_spec(indices, b: float) -> ProblemSpec:
     return ProblemSpec(kind=KIND_FIRST, indices=tuple(i + 1 for i in indices), b=b)
 
 
-def closed_form_second_full(n: int, b: float) -> ExtremalSolution:
-    """Closed form for the weighted problem on I = {0..n}.
-
-    With phase index k (in 1..n+1), degrees l < k-1 vanish and
-
-        P_l = beta_l [ U_{k-1}(x/b) U_{l-k+1}(x/2)
-                       - (U_{n-k+2}(b/2) / U_{n-k+1}(b/2)) U_{k-2}(x/b) U_{l-k}(x/2) ]
-
-        beta_l = sqrt(U_{2n-2l+1}(b/2)) / (sqrt(b) U_{n-k+2}(b/2))
-
-    for l = k-1..n, with optimum (2^{2k-2} / b^{2k-1}) U_{n-k+1}(b/2) / U_{n-k+2}(b/2).
-    For b <= sqrt(2) this collapses to the single rescaled second-kind
-    Chebyshev polynomial U_n(x/b) / b.
-    """
-    ProblemSpec(KIND_SECOND, range(0, n + 1), b)  # validates n and b
-    k = threshold_index(n, b, KIND_SECOND)
-    t = b / 2.0
-    u = lambda m: chebyshev_u_value(m, t)
-    ratio = u(n - k + 2) / u(n - k + 1)
-
-    u_kb = _u_poly(k - 1).stretch(b)
-    u_km2b = _u_poly(k - 2).stretch(b)
-    polys: dict[int, Polynomial] = {}
-    for l in range(0, n + 1):
-        if l <= k - 2:
-            polys[l] = Polynomial.zero()
-            continue
-        beta = math.sqrt(u(2 * n - 2 * l + 1)) / (math.sqrt(b) * u(n - k + 2))
-        shape = u_kb * _u_poly(l - k + 1).stretch(2.0) - ratio * (
-            u_km2b * _u_poly(l - k).stretch(2.0)
-        )
-        polys[l] = _positive_leading(beta * shape)
-    objective = 2.0 ** (2 * k - 2) / b ** (2 * k - 1) * u(n - k + 1) / u(n - k + 2)
-
-    lifted = _lifted_first_spec(range(0, n + 1), b)
-    cm_lift = dual_moments(lifted)
-    alphas_lift = alpha_weights(cm_lift, n + 1)
-    act_lift = active_set(cm_lift, lifted)
-    return ExtremalSolution(
-        polys=polys,
-        alphas={l: alphas_lift[l] for l in range(0, n + 1)},
-        objective=objective,
-        dual_moments=reflected(cm_lift),
-        active_set=tuple(j - 1 for j in act_lift),
-        phase_index=k,
-    )
-
-
-def closed_form_second_pair(n: int, b: float) -> ExtremalSolution:
-    """Closed form for the weighted problem on I = {n-1, n}.
-
-    For b <= sqrt(2) the solution is (0, U_n(x/b)/b) with optimum
-    2^{2n} b^{-(2n+2)} (the squared leading coefficient of U_n(x/b)/b);
-    above sqrt(2) both members are nonzero with optimum
-    (2/b)^{2(n-1)} / (b^2 - 1).  The branches agree at sqrt(2).
-    """
-    ProblemSpec(KIND_SECOND, (n - 1, n), b)  # validates n and b
-    two_regime = chebyshev_u_value(3, b / 2.0) > THRESHOLD_EPS  # b > sqrt(2)
-    if not two_regime:
-        polys = {n - 1: Polynomial.zero(), n: (1.0 / b) * chebyshev_u(n).stretch(b)}
-        objective = 2.0 ** (2 * n) / b ** (2 * n + 2)
-        phase = n + 1
-    else:
-        b2 = b * b
-        p_n1 = (math.sqrt(b2 - 2.0) / (b2 - 1.0)) * chebyshev_u(n - 1).stretch(b)
-        p_n = (b / (2.0 * (b2 - 1.0))) * (
-            chebyshev_u(n).stretch(b)
-            - ((b2 - 2.0) / b2) * _u_poly(n - 2).stretch(b)
-        )
-        polys = {n - 1: _positive_leading(p_n1), n: _positive_leading(p_n)}
-        objective = (2.0 / b) ** (2 * (n - 1)) / (b2 - 1.0)
-        phase = n
-
-    lifted = _lifted_first_spec((n - 1, n), b)
-    cm_lift = dual_moments(lifted)
-    alphas_lift = alpha_weights(cm_lift, n + 1)
-    act_lift = active_set(cm_lift, lifted)
-    return ExtremalSolution(
-        polys=polys,
-        alphas={n - 1: alphas_lift[n - 1], n: alphas_lift[n]},
-        objective=objective,
-        dual_moments=reflected(cm_lift),
-        active_set=tuple(j - 1 for j in act_lift),
-        phase_index=phase,
-    )
-
-
 def solve(spec: ProblemSpec) -> ExtremalSolution:
-    """Dispatch to the general first-kind solver or a second-kind closed form."""
-    if spec.kind == KIND_FIRST:
-        return solve_first_kind(spec)
-    n = spec.n
-    if spec.indices == tuple(range(0, n + 1)):
-        return closed_form_second_full(n, spec.b)
-    if n >= 1 and spec.indices == (n - 1, n):
-        return closed_form_second_pair(n, spec.b)
-    raise InvalidInputError(
-        "second-kind solving covers only index sets {0..n} and {n-1, n}"
+    """Solve either kind for an arbitrary index set by the dual construction.
+
+    The first kind runs dual moments -> squared norms k_j -> alpha weights
+    on I itself, and its family is built on the monic orthogonal
+    polynomials P_j of the dual measure.  The second kind runs the same
+    chain on the first-kind problem on I + 1; its family is built on the
+    monic orthogonal polynomials Q_j of (b^2 - x^2) d(eta), where eta is
+    the reflected lifted dual measure (n + 1 interior points), whose
+    recurrence comes from Lanczos.  Either way member j is
+    sqrt(alpha / k) times its monic polynomial, with alpha and k taken at
+    the (lifted) index, and the objective is 1/k at the top (lifted) index.
+    """
+    weighted = spec.kind == KIND_SECOND
+    lifted = _lifted_first_spec(spec.indices, spec.b) if weighted else spec
+    try:
+        cm = dual_moments(lifted)
+    except InvalidInputError as exc:
+        if not weighted:
+            raise
+        detail = str(exc).removeprefix(f"{lifted}: ")
+        raise InvalidInputError(
+            f"{spec}: {detail}, in the dual of the first kind on I + 1 = {lifted.indices}"
+        ) from exc
+    shift = 1 if weighted else 0  # lifted index = index + shift
+    ks = l2_norms(cm, lifted.n)
+    alphas_all = alpha_weights(cm, lifted.n)
+    if weighted:
+        dual = reflected(cm)
+        eta = support_measure(dual)
+        x = np.asarray(eta.points)
+        weights = np.asarray(eta.weights) * (spec.b - x) * (spec.b + x)
+        monics = monic_from_recurrence(*lanczos_recurrence(x, weights, spec.n))
+    else:
+        dual = cm
+        monics = monic_orthopolys(cm, spec.n)
+
+    polys: dict[int, Polynomial] = {}
+    alphas: dict[int, float] = {}
+    for j in spec.indices:
+        a = alphas_all[j + shift - 1]
+        alphas[j] = a
+        if a <= 0.0:
+            polys[j] = Polynomial.zero()
+        else:
+            scaled = math.sqrt(a / ks[j + shift - 1]) * monics[j]
+            polys[j] = _positive_leading(scaled)
+    objective = 1.0 / ks[lifted.n - 1]
+
+    phase = None
+    if spec.indices == tuple(range(1 - shift, spec.n + 1)):
+        phase = threshold_index(spec.n, spec.b, spec.kind)
+    return ExtremalSolution(
+        polys=polys,
+        alphas=alphas,
+        objective=objective,
+        dual_moments=dual,
+        active_set=tuple(j - shift for j in active_set(cm, lifted)),
+        phase_index=phase,
     )
 
 

@@ -1,0 +1,249 @@
+"""Closed forms of the extremal problem, kept as test oracles.
+
+The plain problem on {1..n} and {n-1, n} and the weighted problem on
+{0..n} and {n-1, n} have explicit solutions in Chebyshev polynomials of
+both kinds.  ``solve`` never reaches them: the tests compare its general
+dual pipeline against these formulas.
+"""
+
+from __future__ import annotations
+
+import math
+
+from chebextremal.canonical import CanonicalMomentSeq, reflected
+from chebextremal.errors import DegreeLimitError, InvalidInputError
+from chebextremal.polynomials import MAX_DEGREE, Polynomial, chebyshev_u_value
+from chebextremal.solver import (
+    KIND_FIRST,
+    KIND_SECOND,
+    THRESHOLD_EPS,
+    ExtremalSolution,
+    ProblemSpec,
+    _lifted_first_spec,
+    _positive_leading,
+    active_set,
+    alpha_weights,
+    dual_moments,
+    threshold_index,
+)
+
+
+def chebyshev_t(n: int) -> Polynomial:
+    """Chebyshev polynomial of the first kind T_n on [-1, 1].
+
+    Built from T_0 = 1, T_1 = x, T_{k+1} = 2x T_k - T_{k-1}.  For an
+    interval [-b, b] compose with x/b via ``chebyshev_t(n).stretch(b)``.
+    """
+    _check_degree(n)
+    if n == 0:
+        return Polynomial((1.0,))
+    prev, cur = Polynomial((1.0,)), Polynomial((0.0, 1.0))
+    two_x = Polynomial((0.0, 2.0))
+    for _ in range(n - 1):
+        prev, cur = cur, two_x * cur - prev
+    return cur
+
+
+def chebyshev_u(n: int) -> Polynomial:
+    """Chebyshev polynomial of the second kind U_n on [-1, 1]."""
+    _check_degree(n)
+    if n == 0:
+        return Polynomial((1.0,))
+    prev, cur = Polynomial((1.0,)), Polynomial((0.0, 2.0))
+    two_x = Polynomial((0.0, 2.0))
+    for _ in range(n - 1):
+        prev, cur = cur, two_x * cur - prev
+    return cur
+
+
+def _check_degree(n: int) -> None:
+    if n < 0:
+        raise InvalidInputError(f"degree must be nonnegative, got {n}")
+    if n > MAX_DEGREE:
+        raise DegreeLimitError(f"degree {n} exceeds the cap {MAX_DEGREE}")
+
+
+def _u_poly(m: int) -> Polynomial:
+    """U_m as a Polynomial, honoring U_{-1} = 0 and U_{-2} = -1."""
+    if m == -1:
+        return Polynomial.zero()
+    if m == -2:
+        return Polynomial((-1.0,))
+    return chebyshev_u(m)
+
+
+def closed_form_first_full(n: int, b: float) -> ExtremalSolution:
+    """Closed form for the unweighted problem on I = {1..n}.
+
+    With phase index k, the polynomials of degree l < k vanish and
+
+        P_l = beta_l [ T_k(x/b) U_{l-k}(x/2)
+                       - (U_{n-k+1}(b/2) / U_{n-k}(b/2)) T_{k-1}(x/b) U_{l-1-k}(x/2) ]
+
+        beta_l = sqrt(b U_{2n-2l+1}(b/2)) / U_{n-k+1}(b/2)
+
+    for l = k..n.  The optimum is (2^{2k-2} / b^{2k-1}) U_{n-k}(b/2) / U_{n-k+1}(b/2).
+    """
+    ProblemSpec(KIND_FIRST, range(1, n + 1), b)  # validates n and b
+    k = threshold_index(n, b, KIND_FIRST)
+    t = b / 2.0
+    u = lambda m: chebyshev_u_value(m, t)
+    ratio = u(n - k + 1) / u(n - k)
+
+    t_k = chebyshev_t(k).stretch(b)
+    t_km1 = chebyshev_t(k - 1).stretch(b)
+    polys: dict[int, Polynomial] = {}
+    alphas: dict[int, float] = {}
+    denom = u(n - k) * u(n - k + 1)
+    for l in range(1, n + 1):
+        if l <= k - 1:
+            polys[l] = Polynomial.zero()
+            alphas[l] = 0.0
+            continue
+        beta = math.sqrt(b * u(2 * n - 2 * l + 1)) / u(n - k + 1)
+        shape = t_k * _u_poly(l - k).stretch(2.0) - ratio * (
+            t_km1 * _u_poly(l - 1 - k).stretch(2.0)
+        )
+        polys[l] = _positive_leading(beta * shape)
+        alphas[l] = u(2 * n - 2 * l + 1) / denom
+    objective = 2.0 ** (2 * k - 2) / b ** (2 * k - 1) * u(n - k) / u(n - k + 1)
+
+    # dual moments straight from the phase formula: p_{2j} = U_{n-j+1} / (b U_{n-j})
+    p = [0.5] * (2 * n)
+    for j in range(k, n + 1):
+        p[2 * j - 1] = u(n - j + 1) / (b * u(n - j))
+    p[2 * n - 1] = 1.0
+    return ExtremalSolution(
+        polys=polys,
+        alphas=alphas,
+        objective=objective,
+        dual_moments=CanonicalMomentSeq(b=b, p=tuple(p)),
+        active_set=tuple(range(k, n + 1)),
+        phase_index=k,
+    )
+
+
+def closed_form_first_pair(n: int, b: float) -> ExtremalSolution:
+    """Closed form for the unweighted problem on I = {n-1, n}.
+
+    Below b = sqrt(2) the rescaled first-kind Chebyshev polynomial alone is
+    optimal; above it both members are nonzero and the optimum drops to
+    2^{2n-4} b^{-(2n-4)} / (b^2 - 1).  The branches agree at sqrt(2).
+    """
+    ProblemSpec(KIND_FIRST, (n - 1, n), b)  # validates n and b
+    two_regime = chebyshev_u_value(3, b / 2.0) > THRESHOLD_EPS  # b > sqrt(2)
+    p = [0.5] * (2 * n)
+    p[2 * n - 1] = 1.0
+    if not two_regime:
+        polys = {n - 1: Polynomial.zero(), n: chebyshev_t(n).stretch(b)}
+        alphas = {n - 1: 0.0, n: 1.0}
+        objective = 2.0 ** (2 * n - 2) / b ** (2 * n)
+        active: tuple[int, ...] = (n,)
+        phase = n
+    else:
+        b2 = b * b
+        p_n1 = (b * math.sqrt(b2 - 2.0) / (b2 - 1.0)) * chebyshev_t(n - 1).stretch(b)
+        p_n = (1.0 / (2.0 * (b2 - 1.0))) * (
+            b2 * chebyshev_t(n).stretch(b) - (b2 - 2.0) * chebyshev_t(n - 2).stretch(b)
+        )
+        polys = {n - 1: _positive_leading(p_n1), n: _positive_leading(p_n)}
+        alphas = {n - 1: (b2 - 2.0) / (b2 - 1.0), n: 1.0 / (b2 - 1.0)}
+        objective = 2.0 ** (2 * n - 4) * b ** (-(2 * n - 4)) / (b2 - 1.0)
+        p[2 * n - 3] = 1.0 - 1.0 / b2
+        active = (n - 1, n)
+        phase = n - 1
+    return ExtremalSolution(
+        polys=polys,
+        alphas=alphas,
+        objective=objective,
+        dual_moments=CanonicalMomentSeq(b=b, p=tuple(p)),
+        active_set=active,
+        phase_index=phase,
+    )
+
+
+def closed_form_second_full(n: int, b: float) -> ExtremalSolution:
+    """Closed form for the weighted problem on I = {0..n}.
+
+    With phase index k (in 1..n+1), degrees l < k-1 vanish and
+
+        P_l = beta_l [ U_{k-1}(x/b) U_{l-k+1}(x/2)
+                       - (U_{n-k+2}(b/2) / U_{n-k+1}(b/2)) U_{k-2}(x/b) U_{l-k}(x/2) ]
+
+        beta_l = sqrt(U_{2n-2l+1}(b/2)) / (sqrt(b) U_{n-k+2}(b/2))
+
+    for l = k-1..n, with optimum (2^{2k-2} / b^{2k-1}) U_{n-k+1}(b/2) / U_{n-k+2}(b/2).
+    For b <= sqrt(2) this collapses to the single rescaled second-kind
+    Chebyshev polynomial U_n(x/b) / b.
+    """
+    ProblemSpec(KIND_SECOND, range(0, n + 1), b)  # validates n and b
+    k = threshold_index(n, b, KIND_SECOND)
+    t = b / 2.0
+    u = lambda m: chebyshev_u_value(m, t)
+    ratio = u(n - k + 2) / u(n - k + 1)
+
+    u_kb = _u_poly(k - 1).stretch(b)
+    u_km2b = _u_poly(k - 2).stretch(b)
+    polys: dict[int, Polynomial] = {}
+    for l in range(0, n + 1):
+        if l <= k - 2:
+            polys[l] = Polynomial.zero()
+            continue
+        beta = math.sqrt(u(2 * n - 2 * l + 1)) / (math.sqrt(b) * u(n - k + 2))
+        shape = u_kb * _u_poly(l - k + 1).stretch(2.0) - ratio * (
+            u_km2b * _u_poly(l - k).stretch(2.0)
+        )
+        polys[l] = _positive_leading(beta * shape)
+    objective = 2.0 ** (2 * k - 2) / b ** (2 * k - 1) * u(n - k + 1) / u(n - k + 2)
+
+    lifted = _lifted_first_spec(range(0, n + 1), b)
+    cm_lift = dual_moments(lifted)
+    alphas_lift = alpha_weights(cm_lift, n + 1)
+    act_lift = active_set(cm_lift, lifted)
+    return ExtremalSolution(
+        polys=polys,
+        alphas={l: alphas_lift[l] for l in range(0, n + 1)},
+        objective=objective,
+        dual_moments=reflected(cm_lift),
+        active_set=tuple(j - 1 for j in act_lift),
+        phase_index=k,
+    )
+
+
+def closed_form_second_pair(n: int, b: float) -> ExtremalSolution:
+    """Closed form for the weighted problem on I = {n-1, n}.
+
+    For b <= sqrt(2) the solution is (0, U_n(x/b)/b) with optimum
+    2^{2n} b^{-(2n+2)} (the squared leading coefficient of U_n(x/b)/b);
+    above sqrt(2) both members are nonzero with optimum
+    (2/b)^{2(n-1)} / (b^2 - 1).  The branches agree at sqrt(2).
+    """
+    ProblemSpec(KIND_SECOND, (n - 1, n), b)  # validates n and b
+    two_regime = chebyshev_u_value(3, b / 2.0) > THRESHOLD_EPS  # b > sqrt(2)
+    if not two_regime:
+        polys = {n - 1: Polynomial.zero(), n: (1.0 / b) * chebyshev_u(n).stretch(b)}
+        objective = 2.0 ** (2 * n) / b ** (2 * n + 2)
+        phase = n + 1
+    else:
+        b2 = b * b
+        p_n1 = (math.sqrt(b2 - 2.0) / (b2 - 1.0)) * chebyshev_u(n - 1).stretch(b)
+        p_n = (b / (2.0 * (b2 - 1.0))) * (
+            chebyshev_u(n).stretch(b)
+            - ((b2 - 2.0) / b2) * _u_poly(n - 2).stretch(b)
+        )
+        polys = {n - 1: _positive_leading(p_n1), n: _positive_leading(p_n)}
+        objective = (2.0 / b) ** (2 * (n - 1)) / (b2 - 1.0)
+        phase = n
+
+    lifted = _lifted_first_spec((n - 1, n), b)
+    cm_lift = dual_moments(lifted)
+    alphas_lift = alpha_weights(cm_lift, n + 1)
+    act_lift = active_set(cm_lift, lifted)
+    return ExtremalSolution(
+        polys=polys,
+        alphas={n - 1: alphas_lift[n - 1], n: alphas_lift[n]},
+        objective=objective,
+        dual_moments=reflected(cm_lift),
+        active_set=tuple(j - 1 for j in act_lift),
+        phase_index=phase,
+    )

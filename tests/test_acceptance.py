@@ -16,9 +16,6 @@ from chebextremal import (
     alpha_weights,
     brute_force_max,
     chebyshev_u_value,
-    closed_form_first_full,
-    closed_form_second_full,
-    closed_form_second_pair,
     dual_moments,
     duality_certificate,
     l2_norms,
@@ -29,6 +26,11 @@ from chebextremal import (
     support_measure,
     threshold_index,
     verify_solution,
+)
+from closed_forms import (
+    closed_form_first_full,
+    closed_form_second_full,
+    closed_form_second_pair,
 )
 
 SQRT2 = math.sqrt(2.0)

@@ -20,6 +20,7 @@ from chebextremal import (
     support_measure,
     zetas,
 )
+from chebextremal.canonical import lanczos_recurrence
 
 
 def arcsine_like(b, n):
@@ -165,6 +166,26 @@ class TestSupportMeasure:
         measure = support_measure(cm)
         np.testing.assert_allclose(measure.points, points, rtol=0, atol=1e-14 * spec.b)
         np.testing.assert_allclose(measure.weights, vecs[0, :] ** 2, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ProblemSpec("first", range(1, 31), b) for b in (1.2, 2.0, 5.0)]
+        + [
+            ProblemSpec("first", (29, 30), 5.0),
+            ProblemSpec("first", (2, 5, 9, 16, 23, 30), 2.0),
+            ProblemSpec("second", range(0, 30), 2.0),
+        ],
+    )
+    def test_lanczos_recovers_jacobi_coefficients(self, spec):
+        # Lanczos on the recovered support and weights must give back the
+        # recurrence the canonical moments define
+        cm = solve(spec).dual_moments
+        size = len(cm.p) // 2 + (1 if cm.p[-1] == 1.0 else 0)
+        diag, off = jacobi_coefficients(cm, size)
+        measure = support_measure(cm)
+        lz_diag, lz_squares = lanczos_recurrence(measure.points, measure.weights, size)
+        np.testing.assert_allclose(lz_diag, diag, rtol=0, atol=1e-13 * spec.b)
+        np.testing.assert_allclose(lz_squares, np.square(off), rtol=0, atol=1e-13 * spec.b**2)
 
     def test_interior_termination_point_count(self):
         # p ending in 0 at index 2n carries n interior points

@@ -65,11 +65,14 @@ class TestSolveCommand:
         assert code == 1
         assert "error" in err
 
-    def test_unsupported_second_kind_set(self, capsys):
-        code, _, err = run_cli(capsys, "solve", "--kind", "second",
+    def test_gapped_second_kind_set(self, capsys):
+        # the weighted problem on (0, 2) shares its optimum with first (1, 3)
+        code, out, _ = run_cli(capsys, "solve", "--kind", "second",
                                "--indices", "0,2", "--b", "1.5")
-        assert code == 1
-        assert "error" in err
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["solution"]["objective"] == 1.4046639231824416
+        assert doc["verification"]["pass"] is True
 
     def test_serialization_round_trips_bit_exactly(self, capsys):
         _, out, _ = run_cli(capsys, "solve", "--kind", "first",

@@ -150,9 +150,9 @@ def _certified_specs(draw):
         n = draw(st.integers(1, 30))
         below = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
         return ProblemSpec("first", below | {n}, b)
-    n = draw(st.integers(1, 29))
-    indices = range(0, n + 1) if draw(st.booleans()) else (n - 1, n)
-    return ProblemSpec("second", indices, b)
+    n = draw(st.integers(0, 29))
+    below = draw(st.sets(st.integers(0, n - 1))) if n > 0 else set()
+    return ProblemSpec("second", below | {n}, b)
 
 
 @settings(max_examples=200, deadline=None)

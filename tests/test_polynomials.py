@@ -11,11 +11,10 @@ from chebextremal import (
     DegreeLimitError,
     InvalidInputError,
     Polynomial,
-    chebyshev_t,
-    chebyshev_u,
     chebyshev_u_value,
     sup_sum_squares,
 )
+from closed_forms import chebyshev_t, chebyshev_u
 
 
 class TestPolynomial:

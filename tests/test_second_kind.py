@@ -1,21 +1,25 @@
-"""Tests for the weighted (second-kind) closed forms."""
+"""Tests for the weighted (second-kind) problem and its closed forms."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebextremal import (
     InvalidInputError,
     ProblemSpec,
-    chebyshev_u,
     chebyshev_u_value,
-    closed_form_first_full,
-    closed_form_second_full,
-    closed_form_second_pair,
     solve,
     sup_sum_squares,
     verify_solution,
+)
+from closed_forms import (
+    chebyshev_u,
+    closed_form_first_full,
+    closed_form_second_full,
+    closed_form_second_pair,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -161,11 +165,66 @@ class TestSecondKindDispatch:
         spec = ProblemSpec("second", (2, 3), 2.0)
         assert solve(spec).objective == pytest.approx((2.0 / 2.0) ** 4 / 3.0, rel=1e-13)
 
-    def test_unsupported_index_set(self):
-        with pytest.raises(InvalidInputError):
-            solve(ProblemSpec("second", (0, 2), 2.0))
+    def test_gapped_set_solves_through_lift(self):
+        spec = ProblemSpec("second", (0, 2), 1.5)
+        sol = solve(spec)
+        assert verify_solution(sol, spec).passed
+        assert sol.objective == 1.4046639231824416
+        assert sol.objective == solve(ProblemSpec("first", (1, 3), 1.5)).objective
+
+    def test_moment_rounding_names_the_callers_spec(self):
+        # the lift (4, 20, 21) is what the dual recurrence sees; the error
+        # must still name the spec that was passed in
+        spec = ProblemSpec("second", (3, 19, 20), 6.4307446722708725)
+        with pytest.raises(InvalidInputError, match="rounds to 1") as info:
+            solve(spec)
+        message = str(info.value)
+        assert str(spec) in message
+        assert "kind='first'" not in message
 
     def test_weighted_feasibility_of_family(self):
         sol = solve(ProblemSpec("second", (0, 1, 2, 3), 1.9))
         report = sup_sum_squares(list(sol.polys.values()), 1.9, weighted=True)
         assert report.sup <= 1.0 + 1e-8
+
+
+class TestClosedFormsAgainstSolver:
+    """The general path against the closed forms, as test_02 does for the
+    first kind: objective within 1e-13 relative, coefficients within 1e-12
+    of the family's largest."""
+
+    @pytest.mark.parametrize("b", B_GRID + [4.0, 5.0])
+    @pytest.mark.parametrize("shape", ["full", "pair"])
+    def test_agreement(self, shape, b):
+        for n in range(0 if shape == "full" else 1, 21):
+            if shape == "full":
+                spec = ProblemSpec("second", range(0, n + 1), b)
+                cf = closed_form_second_full(n, b)
+            else:
+                spec = ProblemSpec("second", (n - 1, n), b)
+                cf = closed_form_second_pair(n, b)
+            gen = solve(spec)
+            assert gen.objective == pytest.approx(cf.objective, rel=1e-13), n
+            scale = max(abs(c) for p in cf.polys.values() for c in p.coeffs)
+            for j in spec.indices:
+                for i in range(n + 1):
+                    assert abs(gen.polys[j].coeff(i) - cf.polys[j].coeff(i)) <= 1e-12 * scale, (n, j, i)
+
+
+@st.composite
+def _second_kind_specs(draw):
+    n = draw(st.integers(0, 22))
+    below = draw(st.sets(st.integers(0, n - 1))) if n > 0 else set()
+    return ProblemSpec("second", below | {n}, draw(st.floats(1e-3, 2.2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_second_kind_specs())
+def test_any_second_kind_set_solves_through_the_lift(spec):
+    sol = solve(spec)
+    assert verify_solution(sol, spec).passed
+    lift = solve(ProblemSpec("first", tuple(j + 1 for j in spec.indices), spec.b))
+    assert sol.objective == lift.objective
+    assert sol.alphas == {j - 1: a for j, a in lift.alphas.items()}
+    assert sol.active_set == tuple(j - 1 for j in lift.active_set)
+    assert sol.dual_moments.p == tuple(1.0 - v for v in lift.dual_moments.p)

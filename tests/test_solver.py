@@ -12,16 +12,18 @@ from chebextremal import (
     ProblemSpec,
     active_set,
     alpha_weights,
-    chebyshev_t,
     chebyshev_u_value,
-    closed_form_first_full,
-    closed_form_first_pair,
     dual_moments,
     solve,
     solve_first_kind,
     sup_sum_squares,
     threshold_index,
     verify_solution,
+)
+from closed_forms import (
+    chebyshev_t,
+    closed_form_first_full,
+    closed_form_first_pair,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -185,6 +187,16 @@ class TestThresholdIndex:
             threshold_index(-1, 1.0, "second")
         assert threshold_index(1, 1.0, "first") == 1
         assert threshold_index(0, 1.0, "second") == 1
+
+    def test_cap_is_the_problem_spec_cap(self):
+        # the second kind solves through the first on I + 1, so both
+        # ProblemSpec and threshold_index stop it one degree early
+        with pytest.raises(InvalidInputError):
+            threshold_index(30, 1.0, "second")
+        with pytest.raises(InvalidInputError):
+            ProblemSpec("second", (30,), 1.0)
+        assert threshold_index(29, 1.0, "second") == 30
+        assert threshold_index(30, 1.0, "first") == 30
 
     def test_second_kind_wide_interval_floors_at_one(self):
         for n in range(0, 7):
@@ -373,7 +385,7 @@ class TestClosedFormFirstFull:
 
     def test_wide_interval_second_kind_shape(self):
         """For b >= 2 the family reduces to combinations of U_l(x/2)."""
-        from chebextremal import chebyshev_u
+        from closed_forms import chebyshev_u
         n, b = 3, 2.5
         sol = closed_form_first_full(n, b)
         t = b / 2.0
