@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.polynomial.chebyshev as cheb
 
 from .errors import InsufficientDataError, InvalidInputError
 from .polynomials import Polynomial
@@ -89,47 +90,40 @@ def _require_moments(cm: CanonicalMomentSeq, needed: int, what: str) -> None:
 def monic_orthopolys(cm: CanonicalMomentSeq, n: int) -> list[Polynomial]:
     """Monic orthogonal polynomials P_0..P_n of the measure behind ``cm``.
 
-    Recurrence (continued-fraction denominators):
-
-        P_0 = 1
-        P_1 = x + b (1 - 2 zeta_1)
-        P_{j+1} = (x + b (1 - 2 zeta_{2j} - 2 zeta_{2j+1})) P_j
-                  - (2b)^2 zeta_{2j-1} zeta_{2j} P_{j-1}
-
-    Zeta entries past a terminating index are taken as 0, which stops the
-    recurrence consistently with the terminating continued fraction.
+    They follow the recurrence of ``jacobi_coefficients`` (the
+    continued-fraction denominators).  Zeta entries past a terminating
+    index are taken as 0, which stops the recurrence consistently with the
+    terminating continued fraction.
     """
     if n < 0:
         raise InvalidInputError(f"n must be nonnegative, got {n}")
     if n >= 1:
         _require_moments(cm, 2 * n - 1, f"P_{n}")
-    z = [0.0] + _zetas_padded(cm, max(2 * n - 1, 1))  # z[j] = zeta_j
-    b = cm.b
-    diag = [-b * (1.0 - 2.0 * z[2 * j] - 2.0 * z[2 * j + 1]) for j in range(n)]
-    squares = [(2.0 * b) ** 2 * z[2 * j - 1] * z[2 * j] for j in range(1, n)]
-    return monic_from_recurrence(diag, squares)
+    return monic_from_recurrence(*jacobi_coefficients(cm, n), cm.b)
 
 
-def monic_from_recurrence(diag, squares) -> list[Polynomial]:
-    """Monic P_0..P_m from P_{j+1} = (x - a_j) P_j - b_j^2 P_{j-1}.
+def monic_from_recurrence(diag, squares, b: float) -> list[Polynomial]:
+    """Monic P_0..P_m from P_{j+1} = (x - a_j) P_j - beta_j^2 P_{j-1}.
 
     ``diag`` holds the m entries a_0..a_{m-1}, ``squares`` the m - 1
-    entries b_1^2..b_{m-1}^2 (``lanczos_recurrence``'s output).
+    entries beta_1^2..beta_{m-1}^2 (the output of ``jacobi_coefficients``
+    and of ``lanczos_recurrence``).  The recurrence runs on Chebyshev
+    series in x/b, where multiplying by x is b times ``chebmulx``.
     """
-    x = Polynomial((0.0, 1.0))
-    out = [Polynomial((1.0,))]
+    out = [np.ones(1)]
     for j, a in enumerate(diag):
-        nxt = (x + Polynomial((-a,))) * out[j]
+        nxt = b * cheb.chebmulx(out[j])
+        nxt[: j + 1] -= a * out[j]
         if j:
-            nxt = nxt - squares[j - 1] * out[j - 1]
+            nxt[:j] -= squares[j - 1] * out[j - 1]
         out.append(nxt)
-    return out
+    return [Polynomial(tuple(c), b) for c in out]
 
 
 def lanczos_recurrence(points, weights, m: int):
-    """Diagonal a_0..a_{m-1} and squared off-diagonal b_1^2..b_{m-1}^2.
+    """Diagonal a_0..a_{m-1} and squared off-diagonal beta_1^2..beta_{m-1}^2.
 
-    Recurrence coefficients P_{j+1} = (x - a_j) P_j - b_j^2 P_{j-1} of the
+    Recurrence coefficients P_{j+1} = (x - a_j) P_j - beta_j^2 P_{j-1} of the
     monic orthogonal polynomials of the discrete measure sum_k w_k delta_{x_k}
     (weights need not sum to 1), by Lanczos on diag(x) started from
     sqrt(w): the Stieltjes procedure in its stable form (Gautschi,
@@ -174,21 +168,18 @@ def l2_norms(cm: CanonicalMomentSeq, n: int) -> list[float]:
 
 
 def jacobi_coefficients(cm: CanonicalMomentSeq, size: int):
-    """Diagonal a_0..a_{size-1} and off-diagonal b_1..b_{size-1}.
+    """Diagonal a_0..a_{size-1} and squared off-diagonal beta_1^2..beta_{size-1}^2.
 
     These are the recurrence coefficients written as
-    P_{j+1} = (x - a_j) P_j - b_j^2 P_{j-1}, so
+    P_{j+1} = (x - a_j) P_j - beta_j^2 P_{j-1}, so
     a_j = b (2 zeta_{2j} + 2 zeta_{2j+1} - 1) with zeta_0 = 0, and
-    b_j = sqrt((2b)^2 zeta_{2j-1} zeta_{2j}).
+    beta_j^2 = (2b)^2 zeta_{2j-1} zeta_{2j}.
     """
     z = [0.0] + _zetas_padded(cm, 2 * size - 1)  # z[j] = zeta_j
     b = cm.b
     diag = [b * (2.0 * z[2 * j] + 2.0 * z[2 * j + 1] - 1.0) for j in range(size)]
-    off = []
-    for j in range(1, size):
-        sq = (2.0 * b) ** 2 * z[2 * j - 1] * z[2 * j]
-        off.append(float(np.sqrt(sq)))
-    return diag, off
+    squares = [(2.0 * b) ** 2 * z[2 * j - 1] * z[2 * j] for j in range(1, size)]
+    return diag, squares
 
 
 def support_measure(cm: CanonicalMomentSeq) -> DiscreteMeasure:
@@ -209,9 +200,10 @@ def support_measure(cm: CanonicalMomentSeq) -> DiscreteMeasure:
             f"terminating sequence must have even length, got {length}"
         )
     size = length // 2 + 1 if cm.p[-1] == 1.0 else length // 2
-    diag, off = jacobi_coefficients(cm, size)
+    diag, squares = jacobi_coefficients(cm, size)
     if size == 1:
         return DiscreteMeasure(points=(diag[0],), weights=(1.0,))
+    off = np.sqrt(squares)
     vals, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     weights = vecs[0, :] ** 2
     return DiscreteMeasure(points=tuple(float(v) for v in vals),

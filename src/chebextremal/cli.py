@@ -1,8 +1,10 @@
 """Command-line front end: solve, sweep, oracle.
 
 Single solutions are emitted as one JSON document on stdout, sweeps as
-CSV.  JSON reals are written as the shortest string that parses back to
-the same double; the CSV uses 17 significant digits.  Exit codes: 0 on
+CSV.  A solution's member j is listed by its Chebyshev coefficients
+``cheb``: it is sum_k cheb[k] T_k(x/b), with b from ``spec``.  JSON reals
+are written as the shortest string that parses back to the same double;
+the CSV uses 17 significant digits.  Exit codes: 0 on
 success, 1 on invalid input, 2 when verification (or the oracle gap
 check) fails.
 """
@@ -19,7 +21,7 @@ from .errors import InvalidInputError
 from .oracle import brute_force_max
 from .solver import ProblemSpec, solve, verify_solution
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -47,7 +49,7 @@ def _solution_record(spec, sol, report) -> dict:
     }
     solution["alphas"] = {str(j): sol.alphas[j] for j in spec.indices}
     solution["polys"] = [
-        {"index": j, "coeffs": list(sol.polys[j].coeffs)} for j in spec.indices
+        {"index": j, "cheb": list(sol.polys[j].coeffs)} for j in spec.indices
     ]
     solution["objective"] = sol.objective
     solution["active_set"] = list(sol.active_set)

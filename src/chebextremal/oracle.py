@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial.chebyshev import chebvander, poly2cheb
 
 from .canonical import l2_norms, reflected, support_measure
 from .errors import InvalidInputError
@@ -92,7 +92,8 @@ def brute_force_max(
     deterministically from ``seed``, then polishes the best one with the
     remaining budget.  During the search the constraint sup is taken on a
     fixed dense Chebyshev grid; the returned family is rescaled by the
-    rigorous sup so it is feasible and ``best_value`` is honest.  Runs are
+    rigorous sup so it is feasible and ``best_value`` is honest; only that
+    winner is converted to Chebyshev series on [-b, b].  Runs are
     merged by (value, restart index), so the output is reproducible.
     """
     import scipy.optimize
@@ -196,10 +197,10 @@ def brute_force_max(
         cj = best_c[off : off + size]
         off += size
         num += cj[-1] ** 2
-        family[j] = Polynomial(tuple(cj))
+        family[j] = Polynomial(tuple(poly2cheb(cj * b ** np.arange(size))), b)
     sup = sup_sum_squares(list(family.values()), b, weighted=weighted).sup
     if sup <= 0.0:
-        return OracleResult(0.0, {j: Polynomial.zero() for j in spec.indices}, evals, seed)
+        return OracleResult(0.0, {j: Polynomial.zero(b) for j in spec.indices}, evals, seed)
     scale = 1.0 / math.sqrt(sup)
     rescaled = {j: scale * p for j, p in family.items()}
     return OracleResult(

@@ -1,12 +1,15 @@
-"""Dense real polynomials, Chebyshev U values, and sup norms.
+"""Polynomials as Chebyshev series on [-b, b], Chebyshev U values, sup norms.
 
-Polynomials are stored as ascending monomial coefficients at double
-precision.  Degrees are capped at 30 so that squared sums (degree up to 60,
-62 with the endpoint weight) stay acceptably conditioned in the monomial
-basis for |x| <= 10.
+A polynomial on [-b, b] is stored by its coefficients in the Chebyshev
+basis of that interval, T_k(x/b).  Those coefficients are bounded by twice
+the polynomial's sup norm on [-b, b] (Trefethen, *Approximation Theory and
+Approximation Practice*, ch. 3), so the solver's three-term recurrence,
+squaring, summing and evaluation (Clenshaw) run without cancellation at
+every degree up to the cap.  The cap, 31, is the largest dual degree
+``ProblemSpec`` accepts.
 
 The sup of a (weighted) sum of squares over [-b, b] is exact up to
-rounding: the sum is converted to a Chebyshev series in x/b, the roots of
+rounding: the sum is formed as a Chebyshev series in x/b, the roots of
 its derivative are found as colleague-matrix eigenvalues, and the family
 is evaluated at those critical points and at the endpoints.
 """
@@ -20,31 +23,36 @@ import numpy.polynomial.chebyshev as cheb
 
 from .errors import DegreeLimitError, InvalidInputError
 
-MAX_DEGREE = 30
+MAX_DEGREE = 31
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Real polynomial with ascending monomial coefficients.
+    """Real polynomial on [-b, b] as the Chebyshev series sum_k c_k T_k(x/b).
 
-    ``coeffs[i]`` multiplies ``x**i``; trailing zeros are trimmed on
-    construction so the leading coefficient of a nonzero polynomial is
-    nonzero.  The zero polynomial is the empty tuple and has ``degree``
-    ``None``; it is a first-class value because optimal families routinely
-    contain vanishing members.
+    ``coeffs[k]`` is c_k; trailing zeros are trimmed on construction so the
+    top coefficient of a nonzero polynomial is nonzero.  The zero
+    polynomial is the empty tuple and has ``degree`` ``None``; it is a
+    first-class value because optimal families routinely contain vanishing
+    members.  Keeping the same coefficients and doubling ``b`` gives
+    x -> p(x/2).
     """
 
-    coeffs: tuple[float, ...] = ()
+    coeffs: tuple[float, ...]
+    b: float
 
     def __post_init__(self):
+        if not self.b > 0.0:
+            raise InvalidInputError(f"half-width must be positive, got {self.b}")
         c = tuple(float(v) for v in self.coeffs)
         while c and c[-1] == 0.0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "b", float(self.b))
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
+    def zero(cls, b: float) -> "Polynomial":
+        return cls((), b)
 
     @property
     def is_zero(self) -> bool:
@@ -56,50 +64,25 @@ class Polynomial:
 
     @property
     def leading(self) -> float:
-        """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else 0.0
-
-    def coeff(self, i: int) -> float:
-        """Coefficient of ``x**i`` (0 beyond the degree)."""
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0.0
+        """Coefficient of x**degree, c_d 2^(d-1) / b^d; 0 for the zero polynomial."""
+        if not self.coeffs:
+            return 0.0
+        d = len(self.coeffs) - 1
+        return self.coeffs[-1] * 2.0 ** (d - 1) / self.b**d if d else self.coeffs[0]
 
     def __call__(self, x):
-        """Evaluate by Horner's scheme; accepts scalars or numpy arrays."""
-        result = x * 0.0
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for i, v in enumerate(b):
-            summed[i] += v
-        return Polynomial(tuple(summed))
+        """Evaluate by Clenshaw's recurrence; accepts scalars or numpy arrays."""
+        if not self.coeffs:
+            return x * 0.0
+        return cheb.chebval(x / self.b, self.coeffs)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial(tuple(-c for c in self.coeffs), self.b)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial.zero()
-            prod = np.convolve(np.asarray(self.coeffs), np.asarray(other.coeffs))
-            return Polynomial(tuple(prod))
-        return Polynomial(tuple(float(other) * c for c in self.coeffs))
+    def __mul__(self, scalar: float) -> "Polynomial":
+        return Polynomial(tuple(float(scalar) * c for c in self.coeffs), self.b)
 
     __rmul__ = __mul__
-
-    def stretch(self, s: float) -> "Polynomial":
-        """Compose with ``x -> x/s``: the result evaluates self(x/s)."""
-        if s == 0:
-            raise InvalidInputError("stretch factor must be nonzero")
-        return Polynomial(tuple(c / s**i for i, c in enumerate(self.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -129,18 +112,18 @@ def chebyshev_u_value(n: int, t: float) -> float:
 def sup_sum_squares(polys, b: float, weighted: bool = False) -> SupNormReport:
     """Maximize sum(P_j(x)^2), optionally times (b^2 - x^2), over [-b, b].
 
-    The squared sum g is formed as a Chebyshev series in x/b (weight
-    included) and its maximum is taken over the endpoints and the real
+    The squared sum g is formed from the members' own Chebyshev series in
+    x/b (weight included) and its maximum is taken over the endpoints and the real
     parts of every root of g', clipped to [-b, b].  Complex roots are not
     discarded: where g is nearly flat, rounding moves real critical points
-    off the axis.  Candidates are evaluated with the Horner
+    off the axis.  Candidates are evaluated with
     ``Polynomial.__call__``, so ``sup`` is the family's value at ``argmax``.
 
     Parameters
     ----------
     polys : iterable of Polynomial
         The family whose squared sum is bounded.  Must be nonempty; zero
-        polynomials are allowed.
+        polynomials are allowed.  Every member must be a series on [-b, b].
     b : float
         Interval half-width, in (0, 10].
     weighted : bool
@@ -151,6 +134,8 @@ def sup_sum_squares(polys, b: float, weighted: bool = False) -> SupNormReport:
         raise InvalidInputError("polynomial list must be nonempty")
     if not 0.0 < b <= 10.0:
         raise InvalidInputError(f"half-width must lie in (0, 10], got {b}")
+    if any(p.b != b for p in polys):
+        raise InvalidInputError(f"every member must be a series on [-{b}, {b}]")
     live = [p for p in polys if not p.is_zero]
     maxdeg = max((p.degree for p in live), default=0)
     if maxdeg > MAX_DEGREE:
@@ -160,8 +145,7 @@ def sup_sum_squares(polys, b: float, weighted: bool = False) -> SupNormReport:
 
     g = np.zeros(1)
     for p in live:
-        c = cheb.poly2cheb(np.asarray(p.coeffs) * b ** np.arange(len(p.coeffs)))
-        g = cheb.chebadd(g, cheb.chebmul(c, c))
+        g = cheb.chebadd(g, cheb.chebmul(p.coeffs, p.coeffs))
     if weighted:
         g = cheb.chebmul(g, [0.5 * b * b, 0.0, -0.5 * b * b])
     # trailing terms below rounding of g' would blow up the colleague matrix

@@ -59,13 +59,13 @@ DUALITY_TOL = 1e-9
 OBJECTIVE_CONSISTENCY_RTOL = 1e-12
 
 
-def _max_index(kind: str) -> int:
-    """Largest prescribed degree of a ``kind`` problem.
+def _dual_degree(kind: str, n: int) -> int:
+    """Top degree of the first-kind problem that a ``kind`` problem solves.
 
-    The second kind solves through the first kind on I + 1, so its cap is
-    one below the first kind's.
+    That is n for the first kind and n + 1 for the second, which solves
+    through the first kind on I + 1.  ``MAX_DEGREE`` caps it.
     """
-    return MAX_DEGREE if kind == KIND_FIRST else MAX_DEGREE - 1
+    return n if kind == KIND_FIRST else n + 1
 
 
 @dataclass(frozen=True)
@@ -91,16 +91,15 @@ class ProblemSpec:
             raise InvalidInputError(
                 f"{self.kind}-kind indices must be >= {low}, got {idx[0]}"
             )
-        cap = _max_index(self.kind)
-        if idx[-1] > cap:
+        d = _dual_degree(self.kind, idx[-1])
+        if d > MAX_DEGREE:
             raise InvalidInputError(
-                f"{self.kind}-kind max index {idx[-1]} exceeds the cap {cap}"
+                f"{self.kind}-kind max index {idx[-1]} has dual degree {d},"
+                f" above the cap {MAX_DEGREE}"
             )
         if not 0.0 < self.b <= 10.0:
             raise InvalidInputError(f"half-width must lie in (0, 10], got {self.b}")
-        # the optimum is at least the lone-Chebyshev value 4^(d-1)/b^(2d),
-        # d = n for the first kind and n + 1 for the second
-        d = idx[-1] if self.kind == KIND_FIRST else idx[-1] + 1
+        # the optimum is at least the lone-Chebyshev value 4^(d-1)/b^(2d)
         if (d - 1) * math.log(4.0) - 2 * d * math.log(self.b) >= math.log(sys.float_info.max):
             raise InvalidInputError(
                 f"half-width {self.b} is too small: the optimum overflows a double"
@@ -215,8 +214,11 @@ def threshold_index(n: int, b: float, kind: str) -> int:
     if kind not in (KIND_FIRST, KIND_SECOND):
         raise InvalidInputError(f"kind must be 'first' or 'second', got {kind!r}")
     low = 1 if kind == KIND_FIRST else 0
-    if not low <= n <= _max_index(kind):
-        raise InvalidInputError(f"{kind}-kind n must lie in {low}..{_max_index(kind)}, got {n}")
+    if not low <= n or _dual_degree(kind, n) > MAX_DEGREE:
+        raise InvalidInputError(
+            f"{kind}-kind n must be at least {low} with dual degree at most"
+            f" {MAX_DEGREE}, got {n}"
+        )
     if not 0.0 < b <= 10.0:
         raise InvalidInputError(f"half-width must lie in (0, 10], got {b}")
     t = b / 2.0
@@ -289,7 +291,7 @@ def solve(spec: ProblemSpec) -> ExtremalSolution:
         eta = support_measure(dual)
         x = np.asarray(eta.points)
         weights = np.asarray(eta.weights) * (spec.b - x) * (spec.b + x)
-        monics = monic_from_recurrence(*lanczos_recurrence(x, weights, spec.n))
+        monics = monic_from_recurrence(*lanczos_recurrence(x, weights, spec.n), spec.b)
     else:
         dual = cm
         monics = monic_orthopolys(cm, spec.n)
@@ -300,7 +302,7 @@ def solve(spec: ProblemSpec) -> ExtremalSolution:
         a = alphas_all[j + shift - 1]
         alphas[j] = a
         if a <= 0.0:
-            polys[j] = Polynomial.zero()
+            polys[j] = Polynomial.zero(spec.b)
         else:
             scaled = math.sqrt(a / ks[j + shift - 1]) * monics[j]
             polys[j] = _positive_leading(scaled)
@@ -334,7 +336,7 @@ def verify_solution(sol: ExtremalSolution, spec: ProblemSpec) -> VerificationRep
     family = [sol.polys[j] for j in spec.indices]
     sup_report = sup_sum_squares(family, b, weighted=weighted)
 
-    objective = sum(p.coeff(j) ** 2 for j, p in sol.polys.items())
+    objective = sum(p.leading**2 for p in sol.polys.values())
 
     if weighted:
         cm_lift = reflected(sol.dual_moments)
@@ -348,13 +350,11 @@ def verify_solution(sol: ExtremalSolution, spec: ProblemSpec) -> VerificationRep
     equimax_spread = (max(active_ks) - min(active_ks)) / min(active_ks)
     duality_residual = abs(sol.objective * k_top - 1.0)
 
-    measure = support_measure(sol.dual_moments)
-    attain = 0.0
-    for x in measure.points:
-        g = sum(p(x) ** 2 for p in family)
-        if weighted:
-            g *= b * b - x * x
-        attain = max(attain, abs(g - 1.0))
+    x = np.asarray(support_measure(sol.dual_moments).points)
+    g = sum(p(x) ** 2 for p in family)
+    if weighted:
+        g = g * (b * b - x * x)
+    attain = float(np.max(np.abs(g - 1.0)))
 
     checks = {
         "feasible": sup_report.sup <= 1.0 + FEASIBILITY_TOL,

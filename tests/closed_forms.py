@@ -4,11 +4,19 @@ The plain problem on {1..n} and {n-1, n} and the weighted problem on
 {0..n} and {n-1, n} have explicit solutions in Chebyshev polynomials of
 both kinds.  ``solve`` never reaches them: the tests compare its general
 dual pipeline against these formulas.
+
+The formulas are evaluated in monomial coefficients with numpy's
+``Polynomial``, independently of the library's Chebyshev series, and each
+member is handed back as a library ``Polynomial`` through ``poly2cheb``
+(``to_library``).  Tests compare coefficients through ``monomial``.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+import numpy.polynomial.chebyshev as cheb
 
 from chebextremal.canonical import CanonicalMomentSeq, reflected
 from chebextremal.errors import DegreeLimitError, InvalidInputError
@@ -28,29 +36,54 @@ from chebextremal.solver import (
 )
 
 
-def chebyshev_t(n: int) -> Polynomial:
+#: monomial polynomials of the test oracle
+Monomial = np.polynomial.Polynomial
+
+
+def monomial(p: Polynomial, length: int | None = None) -> np.ndarray:
+    """Ascending monomial coefficients of a library polynomial.
+
+    The Chebyshev series sum_k c_k T_k(x/b) has x^k coefficient
+    cheb2poly(c)[k] / b^k.  With ``length`` the result is zero-padded to
+    that many entries.
+    """
+    c = cheb.cheb2poly(p.coeffs) / p.b ** np.arange(len(p.coeffs)) if p.coeffs else np.zeros(0)
+    return c if length is None else np.pad(c, (0, length - len(c)))
+
+
+def to_library(q: Monomial, b: float) -> Polynomial:
+    """The library polynomial on [-b, b] equal to the monomial q(x)."""
+    return Polynomial(tuple(cheb.poly2cheb(q.coef * b ** np.arange(len(q.coef)))), b)
+
+
+def stretched(q: Monomial, s: float) -> Monomial:
+    """x -> q(x/s)."""
+    return Monomial(q.coef / s ** np.arange(len(q.coef)))
+
+
+def chebyshev_t(n: int) -> Monomial:
     """Chebyshev polynomial of the first kind T_n on [-1, 1].
 
     Built from T_0 = 1, T_1 = x, T_{k+1} = 2x T_k - T_{k-1}.  For an
-    interval [-b, b] compose with x/b via ``chebyshev_t(n).stretch(b)``.
+    interval [-b, b] compose with x/b via ``stretched(chebyshev_t(n), b)``.
     """
     _check_degree(n)
     if n == 0:
-        return Polynomial((1.0,))
-    prev, cur = Polynomial((1.0,)), Polynomial((0.0, 1.0))
-    two_x = Polynomial((0.0, 2.0))
+        return Monomial([1.0])
+    prev, cur = Monomial([1.0]), Monomial([0.0, 1.0])
+    two_x = Monomial([0.0, 2.0])
     for _ in range(n - 1):
         prev, cur = cur, two_x * cur - prev
     return cur
 
 
-def chebyshev_u(n: int) -> Polynomial:
+def chebyshev_u(n: int) -> Monomial:
     """Chebyshev polynomial of the second kind U_n on [-1, 1]."""
     _check_degree(n)
     if n == 0:
-        return Polynomial((1.0,))
-    prev, cur = Polynomial((1.0,)), Polynomial((0.0, 2.0))
-    two_x = Polynomial((0.0, 2.0))
+        return Monomial([1.0])
+    prev, cur = Monomial([1.0]), Monomial([0.0, 2.0])
+    two_x = Monomial([0.0, 2.0])
     for _ in range(n - 1):
         prev, cur = cur, two_x * cur - prev
     return cur
@@ -63,12 +96,12 @@ def _check_degree(n: int) -> None:
         raise DegreeLimitError(f"degree {n} exceeds the cap {MAX_DEGREE}")
 
 
-def _u_poly(m: int) -> Polynomial:
-    """U_m as a Polynomial, honoring U_{-1} = 0 and U_{-2} = -1."""
+def _u_poly(m: int) -> Monomial:
+    """U_m, honoring U_{-1} = 0 and U_{-2} = -1."""
     if m == -1:
-        return Polynomial.zero()
+        return Monomial([0.0])
     if m == -2:
-        return Polynomial((-1.0,))
+        return Monomial([-1.0])
     return chebyshev_u(m)
 
 
@@ -90,21 +123,21 @@ def closed_form_first_full(n: int, b: float) -> ExtremalSolution:
     u = lambda m: chebyshev_u_value(m, t)
     ratio = u(n - k + 1) / u(n - k)
 
-    t_k = chebyshev_t(k).stretch(b)
-    t_km1 = chebyshev_t(k - 1).stretch(b)
+    t_k = stretched(chebyshev_t(k), b)
+    t_km1 = stretched(chebyshev_t(k - 1), b)
     polys: dict[int, Polynomial] = {}
     alphas: dict[int, float] = {}
     denom = u(n - k) * u(n - k + 1)
     for l in range(1, n + 1):
         if l <= k - 1:
-            polys[l] = Polynomial.zero()
+            polys[l] = Polynomial.zero(b)
             alphas[l] = 0.0
             continue
         beta = math.sqrt(b * u(2 * n - 2 * l + 1)) / u(n - k + 1)
-        shape = t_k * _u_poly(l - k).stretch(2.0) - ratio * (
-            t_km1 * _u_poly(l - 1 - k).stretch(2.0)
+        shape = t_k * stretched(_u_poly(l - k), 2.0) - ratio * (
+            t_km1 * stretched(_u_poly(l - 1 - k), 2.0)
         )
-        polys[l] = _positive_leading(beta * shape)
+        polys[l] = _positive_leading(to_library(beta * shape, b))
         alphas[l] = u(2 * n - 2 * l + 1) / denom
     objective = 2.0 ** (2 * k - 2) / b ** (2 * k - 1) * u(n - k) / u(n - k + 1)
 
@@ -135,18 +168,21 @@ def closed_form_first_pair(n: int, b: float) -> ExtremalSolution:
     p = [0.5] * (2 * n)
     p[2 * n - 1] = 1.0
     if not two_regime:
-        polys = {n - 1: Polynomial.zero(), n: chebyshev_t(n).stretch(b)}
+        polys = {n - 1: Polynomial.zero(b), n: to_library(stretched(chebyshev_t(n), b), b)}
         alphas = {n - 1: 0.0, n: 1.0}
         objective = 2.0 ** (2 * n - 2) / b ** (2 * n)
         active: tuple[int, ...] = (n,)
         phase = n
     else:
         b2 = b * b
-        p_n1 = (b * math.sqrt(b2 - 2.0) / (b2 - 1.0)) * chebyshev_t(n - 1).stretch(b)
+        p_n1 = (b * math.sqrt(b2 - 2.0) / (b2 - 1.0)) * stretched(chebyshev_t(n - 1), b)
         p_n = (1.0 / (2.0 * (b2 - 1.0))) * (
-            b2 * chebyshev_t(n).stretch(b) - (b2 - 2.0) * chebyshev_t(n - 2).stretch(b)
+            b2 * stretched(chebyshev_t(n), b) - (b2 - 2.0) * stretched(chebyshev_t(n - 2), b)
         )
-        polys = {n - 1: _positive_leading(p_n1), n: _positive_leading(p_n)}
+        polys = {
+            n - 1: _positive_leading(to_library(p_n1, b)),
+            n: _positive_leading(to_library(p_n, b)),
+        }
         alphas = {n - 1: (b2 - 2.0) / (b2 - 1.0), n: 1.0 / (b2 - 1.0)}
         objective = 2.0 ** (2 * n - 4) * b ** (-(2 * n - 4)) / (b2 - 1.0)
         p[2 * n - 3] = 1.0 - 1.0 / b2
@@ -182,18 +218,18 @@ def closed_form_second_full(n: int, b: float) -> ExtremalSolution:
     u = lambda m: chebyshev_u_value(m, t)
     ratio = u(n - k + 2) / u(n - k + 1)
 
-    u_kb = _u_poly(k - 1).stretch(b)
-    u_km2b = _u_poly(k - 2).stretch(b)
+    u_kb = stretched(_u_poly(k - 1), b)
+    u_km2b = stretched(_u_poly(k - 2), b)
     polys: dict[int, Polynomial] = {}
     for l in range(0, n + 1):
         if l <= k - 2:
-            polys[l] = Polynomial.zero()
+            polys[l] = Polynomial.zero(b)
             continue
         beta = math.sqrt(u(2 * n - 2 * l + 1)) / (math.sqrt(b) * u(n - k + 2))
-        shape = u_kb * _u_poly(l - k + 1).stretch(2.0) - ratio * (
-            u_km2b * _u_poly(l - k).stretch(2.0)
+        shape = u_kb * stretched(_u_poly(l - k + 1), 2.0) - ratio * (
+            u_km2b * stretched(_u_poly(l - k), 2.0)
         )
-        polys[l] = _positive_leading(beta * shape)
+        polys[l] = _positive_leading(to_library(beta * shape, b))
     objective = 2.0 ** (2 * k - 2) / b ** (2 * k - 1) * u(n - k + 1) / u(n - k + 2)
 
     lifted = _lifted_first_spec(range(0, n + 1), b)
@@ -221,17 +257,23 @@ def closed_form_second_pair(n: int, b: float) -> ExtremalSolution:
     ProblemSpec(KIND_SECOND, (n - 1, n), b)  # validates n and b
     two_regime = chebyshev_u_value(3, b / 2.0) > THRESHOLD_EPS  # b > sqrt(2)
     if not two_regime:
-        polys = {n - 1: Polynomial.zero(), n: (1.0 / b) * chebyshev_u(n).stretch(b)}
+        polys = {
+            n - 1: Polynomial.zero(b),
+            n: to_library((1.0 / b) * stretched(chebyshev_u(n), b), b),
+        }
         objective = 2.0 ** (2 * n) / b ** (2 * n + 2)
         phase = n + 1
     else:
         b2 = b * b
-        p_n1 = (math.sqrt(b2 - 2.0) / (b2 - 1.0)) * chebyshev_u(n - 1).stretch(b)
+        p_n1 = (math.sqrt(b2 - 2.0) / (b2 - 1.0)) * stretched(chebyshev_u(n - 1), b)
         p_n = (b / (2.0 * (b2 - 1.0))) * (
-            chebyshev_u(n).stretch(b)
-            - ((b2 - 2.0) / b2) * _u_poly(n - 2).stretch(b)
+            stretched(chebyshev_u(n), b)
+            - ((b2 - 2.0) / b2) * stretched(_u_poly(n - 2), b)
         )
-        polys = {n - 1: _positive_leading(p_n1), n: _positive_leading(p_n)}
+        polys = {
+            n - 1: _positive_leading(to_library(p_n1, b)),
+            n: _positive_leading(to_library(p_n, b)),
+        }
         objective = (2.0 / b) ** (2 * (n - 1)) / (b2 - 1.0)
         phase = n
 

@@ -32,7 +32,7 @@ class TestSolveCommand:
                                "--indices", "3", "--b", "1")
         assert code == 0
         doc = json.loads(out)
-        assert doc["version"] == "1"
+        assert doc["version"] == "2"
         assert doc["spec"] == {"kind": "first", "indices": [3], "b": 1}
         assert doc["solution"]["objective"] == pytest.approx(16.0, rel=1e-12)
         assert doc["verification"]["pass"] is True
@@ -86,7 +86,7 @@ class TestSolveCommand:
         dm = doc["solution"]["dual_moments"]
         sol = ExtremalSolution(
             polys={
-                entry["index"]: Polynomial(tuple(float(c) for c in entry["coeffs"]))
+                entry["index"]: Polynomial(tuple(float(c) for c in entry["cheb"]), spec.b)
                 for entry in doc["solution"]["polys"]
             },
             alphas={int(j): float(a) for j, a in doc["solution"]["alphas"].items()},

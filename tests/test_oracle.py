@@ -62,7 +62,7 @@ class TestBruteForce:
         family = list(result.best_coeffs.values())
         sup = sup_sum_squares(family, spec.b).sup
         assert sup <= 1.0 + 1e-9
-        total = sum(p.coeff(j) ** 2 for j, p in result.best_coeffs.items())
+        total = sum(p.leading**2 for p in result.best_coeffs.values())
         assert total == pytest.approx(result.best_value, abs=1e-9)
 
     def test_weighted_kind(self):
@@ -119,7 +119,7 @@ class TestDualityCertificate:
     def test_singular_moment_matrix_flags_index(self):
         # a two-point measure cannot support a degree-2 moment matrix
         doctored = ExtremalSolution(
-            polys={2: Polynomial((0.0, 0.0, 1.0))},
+            polys={2: Polynomial((0.0, 0.0, 1.0), 1.0)},
             alphas={2: 1.0},
             objective=1.0,
             dual_moments=CanonicalMomentSeq(b=1.0, p=(0.5, 1.0)),
@@ -147,10 +147,10 @@ class TestDualityCertificate:
 def _certified_specs(draw):
     b = draw(st.floats(1e-3, 2.2))
     if draw(st.booleans()):
-        n = draw(st.integers(1, 30))
+        n = draw(st.integers(1, 31))
         below = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
         return ProblemSpec("first", below | {n}, b)
-    n = draw(st.integers(0, 29))
+    n = draw(st.integers(0, 30))
     below = draw(st.sets(st.integers(0, n - 1))) if n > 0 else set()
     return ProblemSpec("second", below | {n}, b)
 

@@ -14,66 +14,72 @@ from chebextremal import (
     chebyshev_u_value,
     sup_sum_squares,
 )
-from closed_forms import chebyshev_t, chebyshev_u
+from closed_forms import Monomial, chebyshev_t, chebyshev_u, monomial, stretched, to_library
 
 
 class TestPolynomial:
     def test_constant_eval(self):
-        assert Polynomial((1.0,))(7.3) == 1.0
+        assert Polynomial((1.0,), 1.0)(7.3) == 1.0
 
     def test_quadratic_eval(self):
-        assert Polynomial((-1.0, 0.0, 1.0))(2.0) == 3.0
+        # x^2 - 1 = (T_2(x) - T_0(x)) / 2
+        assert Polynomial((-0.5, 0.0, 0.5), 1.0)(2.0) == 3.0
 
     def test_eval_matches_naive_power_sum(self):
         rng = np.random.default_rng(42)
         for _ in range(5):
             coeffs = tuple(rng.uniform(-1.0, 1.0, size=9))
-            p = Polynomial(coeffs)
+            p = to_library(Monomial(coeffs), 3.0)
             for x in (-2.0, 0.5, 3.0):
                 naive = sum(c * x**i for i, c in enumerate(coeffs))
                 assert abs(p(x) - naive) <= 1e-12 * max(1.0, abs(naive))
 
     def test_trailing_zeros_trimmed(self):
-        p = Polynomial((1.0, 2.0, 0.0, 0.0))
+        p = Polynomial((1.0, 2.0, 0.0, 0.0), 2.0)
         assert p.coeffs == (1.0, 2.0)
         assert p.degree == 1
-        assert p.leading == 2.0
+        assert p.leading == 1.0  # 2 T_1(x/2) = x
 
     def test_zero_polynomial(self):
-        z = Polynomial.zero()
+        z = Polynomial.zero(1.0)
         assert z.is_zero
         assert z.degree is None
         assert z.leading == 0.0
         assert z(3.7) == 0.0
-        assert (z * Polynomial((1.0, 1.0))).is_zero
+        assert (3.0 * z).is_zero
 
     def test_arithmetic(self):
-        p = Polynomial((1.0, 1.0))      # 1 + x
-        q = Polynomial((0.0, 0.0, 2.0))  # 2 x^2
-        assert (p + q).coeffs == (1.0, 1.0, 2.0)
-        assert (p - p).is_zero
+        p = Polynomial((1.0, 1.0), 1.5)
         assert (2.0 * p).coeffs == (2.0, 2.0)
-        assert (p * q).coeffs == (0.0, 0.0, 2.0, 2.0)
+        assert (p * 2.0).coeffs == (2.0, 2.0)
+        assert (-p).coeffs == (-1.0, -1.0)
+        assert (2.0 * p).b == (-p).b == 1.5
+        with pytest.raises(TypeError):
+            p * p
 
     def test_stretch(self):
-        p = Polynomial((0.0, 0.0, 4.0))  # 4 x^2
-        q = p.stretch(2.0)               # 4 (x/2)^2 = x^2
-        assert q.coeffs == (0.0, 0.0, 1.0)
+        # the same coefficients on a twice wider interval evaluate p(x/2)
+        p = Polynomial((0.5, 0.0, 0.5), 1.0)  # x^2
+        q = Polynomial(p.coeffs, 2.0)
+        assert q(3.0) == p(1.5)
+        assert q.leading == 0.25
         with pytest.raises(InvalidInputError):
-            p.stretch(0.0)
+            Polynomial(p.coeffs, 0.0)
 
-    def test_coeff_accessor(self):
-        p = Polynomial((1.0, 2.0, 3.0))
-        assert p.coeff(1) == 2.0
-        assert p.coeff(5) == 0.0
+    @pytest.mark.parametrize("b", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("d", range(0, 8))
+    def test_leading_is_top_monomial_coefficient(self, d, b):
+        coeffs = tuple(np.linspace(-1.0, 1.0, d + 1) + 0.25)
+        p = Polynomial(coeffs, b)
+        assert p.leading == pytest.approx(monomial(p)[-1], rel=1e-14)
 
 
 class TestChebyshev:
     def test_t1(self):
-        assert chebyshev_t(1).coeffs == (0.0, 1.0)
+        assert tuple(chebyshev_t(1).coef) == (0.0, 1.0)
 
     def test_t3(self):
-        assert chebyshev_t(3).coeffs == (0.0, -3.0, 0.0, 4.0)
+        assert tuple(chebyshev_t(3).coef) == (0.0, -3.0, 0.0, 4.0)
 
     def test_t2_at_half(self):
         assert chebyshev_t(2)(0.5) == pytest.approx(-0.5, abs=1e-15)
@@ -83,7 +89,7 @@ class TestChebyshev:
 
     def test_u3_coeffs_and_root(self):
         u3 = chebyshev_u(3)
-        assert u3.coeffs == (0.0, -4.0, 0.0, 8.0)
+        assert tuple(u3.coef) == (0.0, -4.0, 0.0, 8.0)
         assert u3(math.sqrt(2.0) / 2.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_u5_root(self):
@@ -102,9 +108,9 @@ class TestChebyshev:
 
     def test_degree_cap(self):
         with pytest.raises(DegreeLimitError):
-            chebyshev_t(31)
+            chebyshev_t(32)
         with pytest.raises(DegreeLimitError):
-            chebyshev_u(31)
+            chebyshev_u(32)
         with pytest.raises(InvalidInputError):
             chebyshev_t(-1)
 
@@ -112,38 +118,40 @@ class TestChebyshev:
 class TestSupSumSquares:
     def test_rescaled_t3_attains_one_at_endpoints(self):
         b = 1.7
-        report = sup_sum_squares([chebyshev_t(3).stretch(b)], b)
+        report = sup_sum_squares([to_library(stretched(chebyshev_t(3), b), b)], b)
         assert report.sup == pytest.approx(1.0, abs=1e-12)
         assert abs(report.argmax) == pytest.approx(b, abs=1e-9)
 
     def test_plain_x_on_wide_interval(self):
-        report = sup_sum_squares([Polynomial((0.0, 1.0))], 2.0)
+        report = sup_sum_squares([to_library(Monomial([0.0, 1.0]), 2.0)], 2.0)
         assert report.sup == pytest.approx(4.0, abs=1e-12)
         assert abs(report.argmax) == pytest.approx(2.0, abs=1e-9)
 
     @pytest.mark.parametrize("b", [0.7, 1.0, 2.5])
     @pytest.mark.parametrize("n", range(0, 7))
     def test_weighted_second_kind_family_attains_one(self, n, b):
-        p = (1.0 / b) * chebyshev_u(n).stretch(b)
+        p = to_library((1.0 / b) * stretched(chebyshev_u(n), b), b)
         report = sup_sum_squares([p], b, weighted=True)
         assert report.sup == pytest.approx(1.0, rel=1e-10)
 
     def test_sup_equals_value_at_argmax(self):
-        polys = [chebyshev_t(4).stretch(1.3), Polynomial((0.1, 0.2, 0.3))]
+        qs = (stretched(chebyshev_t(4), 1.3), Monomial([0.1, 0.2, 0.3]))
+        polys = [to_library(q, 1.3) for q in qs]
         report = sup_sum_squares(polys, 1.3)
         value = sum(p(report.argmax) ** 2 for p in polys)
         assert report.sup == pytest.approx(value, rel=1e-14)
 
     @pytest.mark.parametrize("t", [0.5, 2.0])
     def test_homogeneity(self, t):
-        polys = [Polynomial((0.3, -1.0, 0.5)), Polynomial((0.0, 0.7, 0.0, -0.2))]
+        polys = [to_library(Monomial(c), 1.9) for c in ([0.3, -1.0, 0.5], [0.0, 0.7, 0.0, -0.2])]
         base = sup_sum_squares(polys, 1.9).sup
         scaled = sup_sum_squares([t * p for p in polys], 1.9).sup
         assert scaled == pytest.approx(t * t * base, rel=1e-10)
 
     def test_refinement_dominates_raw_grid(self):
-        polys = [chebyshev_t(5).stretch(2.2), Polynomial((0.0, 0.0, 0.11))]
         b = 2.2
+        qs = (stretched(chebyshev_t(5), b), Monomial([0.0, 0.0, 0.11]))
+        polys = [to_library(q, b) for q in qs]
         report = sup_sum_squares(polys, b)
         deg = 2 * 5
         npts = 64 * (deg + 1)
@@ -153,8 +161,8 @@ class TestSupSumSquares:
 
     def test_symmetric_input_matches_half_interval_scan(self):
         # all-even family: the sup over [0, b] equals the full sup
-        polys = [Polynomial((0.2, 0.0, -0.4, 0.0, 0.15)), Polynomial((0.5,))]
         b = 1.6
+        polys = [to_library(Monomial(c), b) for c in ([0.2, 0.0, -0.4, 0.0, 0.15], [0.5])]
         report = sup_sum_squares(polys, b)
         xs = np.linspace(0.0, b, 200001)
         half = max(sum(p(float(x)) ** 2 for p in polys) for x in xs)
@@ -167,18 +175,22 @@ class TestSupSumSquares:
 
     def test_bad_half_width_rejected(self):
         with pytest.raises(InvalidInputError):
-            sup_sum_squares([Polynomial((1.0,))], 11.0)
+            sup_sum_squares([Polynomial((1.0,), 11.0)], 11.0)
         with pytest.raises(InvalidInputError):
-            sup_sum_squares([Polynomial((1.0,))], 0.0)
+            sup_sum_squares([Polynomial((1.0,), 1.0)], 0.0)
+
+    def test_member_on_another_interval_rejected(self):
+        with pytest.raises(InvalidInputError):
+            sup_sum_squares([Polynomial((1.0,), 1.0), Polynomial((0.0, 1.0), 2.0)], 1.0)
 
     def test_all_zero_family(self):
-        report = sup_sum_squares([Polynomial.zero()], 1.0)
+        report = sup_sum_squares([Polynomial.zero(1.0)], 1.0)
         assert report.sup == 0.0
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_constant_family(self, weighted):
         # g' vanishes identically when unweighted: only the endpoints remain
-        polys = [Polynomial((0.6,)), Polynomial.zero(), Polynomial((-0.8,))]
+        polys = [Polynomial((0.6,), 1.5), Polynomial.zero(1.5), Polynomial((-0.8,), 1.5)]
         report = sup_sum_squares(polys, 1.5, weighted=weighted)
         if weighted:
             assert report.sup == pytest.approx(1.5**2, rel=1e-15)
@@ -203,7 +215,7 @@ _coeff = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
     weighted=st.booleans(),
 )
 def test_sup_dominates_dense_grid(family, b, weighted):
-    polys = [Polynomial(tuple(cs)) for cs in family]
+    polys = [to_library(Monomial(cs), b) for cs in family]
     report = sup_sum_squares(polys, b, weighted=weighted)
     assert -b <= report.argmax <= b
     at_argmax = _family_value(polys, np.array([report.argmax]), b, weighted)

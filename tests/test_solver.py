@@ -6,9 +6,12 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chebextremal import (
     InvalidInputError,
+    Polynomial,
     ProblemSpec,
     active_set,
     alpha_weights,
@@ -21,9 +24,12 @@ from chebextremal import (
     verify_solution,
 )
 from closed_forms import (
+    Monomial,
     chebyshev_t,
     closed_form_first_full,
     closed_form_first_pair,
+    monomial,
+    stretched,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -67,13 +73,14 @@ class TestProblemSpec:
             ProblemSpec("first", (), 1.0)
 
     def test_degree_caps(self):
-        # the second kind solves through the first kind on I + 1
-        assert ProblemSpec("first", range(1, 31), 2.0).n == 30
-        assert ProblemSpec("second", range(0, 30), 2.0).n == 29
+        # the second kind solves through the first kind on I + 1, so both
+        # kinds stop at dual degree 31
+        assert ProblemSpec("first", range(1, 32), 2.0).n == 31
+        assert ProblemSpec("second", range(0, 31), 2.0).n == 30
         with pytest.raises(InvalidInputError):
-            ProblemSpec("first", (31,), 2.0)
+            ProblemSpec("first", (32,), 2.0)
         with pytest.raises(InvalidInputError):
-            ProblemSpec("second", range(0, 31), 2.0)
+            ProblemSpec("second", range(0, 32), 2.0)
 
     @pytest.mark.parametrize(
         "kind, indices, b",
@@ -192,11 +199,15 @@ class TestThresholdIndex:
         # the second kind solves through the first on I + 1, so both
         # ProblemSpec and threshold_index stop it one degree early
         with pytest.raises(InvalidInputError):
-            threshold_index(30, 1.0, "second")
+            threshold_index(31, 1.0, "second")
         with pytest.raises(InvalidInputError):
-            ProblemSpec("second", (30,), 1.0)
-        assert threshold_index(29, 1.0, "second") == 30
-        assert threshold_index(30, 1.0, "first") == 30
+            ProblemSpec("second", (31,), 1.0)
+        with pytest.raises(InvalidInputError):
+            threshold_index(32, 1.0, "first")
+        with pytest.raises(InvalidInputError):
+            ProblemSpec("first", (32,), 1.0)
+        assert threshold_index(30, 1.0, "second") == 31
+        assert threshold_index(31, 1.0, "first") == 31
 
     def test_second_kind_wide_interval_floors_at_one(self):
         for n in range(0, 7):
@@ -223,6 +234,14 @@ class TestThresholdIndex:
         assert jumps[3] == pytest.approx(math.sqrt((5.0 + math.sqrt(5.0)) / 2.0), abs=1e-9)
 
 
+def _clenshaw(coeffs, t):
+    """sum_k coeffs[k] T_k(t) by Clenshaw's recurrence in mpmath arithmetic."""
+    b1 = b2 = mpmath.mpf(0)
+    for c in reversed(coeffs[1:]):
+        b1, b2 = 2 * t * b1 - b2 + mpmath.mpf(c), b1
+    return t * b1 - b2 + (mpmath.mpf(coeffs[0]) if coeffs else 0)
+
+
 def _locate_jumps(n, kind, lo, hi, coarse=4001):
     """All discontinuities of the phase index on (lo, hi), bisected to 1e-10."""
     bs = np.linspace(lo, hi, coarse)
@@ -246,7 +265,7 @@ class TestSolveFirstKind:
     def test_singleton_is_rescaled_chebyshev(self):
         spec = ProblemSpec("first", (3,), 1.0)
         sol = solve_first_kind(spec)
-        np.testing.assert_allclose(sol.polys[3].coeffs, (0.0, -3.0, 0.0, 4.0), atol=1e-12)
+        np.testing.assert_allclose(monomial(sol.polys[3]), (0.0, -3.0, 0.0, 4.0), atol=1e-12)
         assert sol.objective == pytest.approx(16.0, rel=1e-12)
 
     def test_example_full_set_wide(self):
@@ -267,7 +286,7 @@ class TestSolveFirstKind:
         for idx in [(1, 2, 3), (2, 3), (1, 3), (2, 4)]:
             for b in (0.8, 1.5, 2.3):
                 sol = solve_first_kind(ProblemSpec("first", idx, b))
-                total = sum(p.coeff(j) ** 2 for j, p in sol.polys.items())
+                total = sum(monomial(p, j + 1)[j] ** 2 for j, p in sol.polys.items())
                 assert total == pytest.approx(sol.objective, rel=1e-12)
 
     def test_positive_leading_signs(self):
@@ -280,16 +299,17 @@ class TestSolveFirstKind:
     def test_singleton_invariance(self, b):
         """The one-polynomial solution is always the rescaled Chebyshev."""
         sol = solve_first_kind(ProblemSpec("first", (4,), b))
-        expected = chebyshev_t(4).stretch(b)
-        np.testing.assert_allclose(sol.polys[4].coeffs, expected.coeffs,
+        expected = stretched(chebyshev_t(4), b)
+        np.testing.assert_allclose(monomial(sol.polys[4]), expected.coef,
                                    rtol=1e-12, atol=1e-12)
 
     def test_non_invariance_for_richer_sets(self):
         """Rescaling the narrow-interval family does not stay optimal."""
         narrow = solve_first_kind(ProblemSpec("first", (1, 2, 3), 1.0))
-        rescaled = [narrow.polys[j].stretch(2.0) for j in (1, 2, 3)]
+        # the same Chebyshev coefficients on [-2, 2] give x -> p(x/2)
+        rescaled = [Polynomial(narrow.polys[j].coeffs, 2.0) for j in (1, 2, 3)]
         sup = sup_sum_squares(rescaled, 2.0).sup
-        feasible_value = sum(p.coeff(j) ** 2 for j, p in zip((1, 2, 3), rescaled)) / sup
+        feasible_value = sum(monomial(p, j + 1)[j] ** 2 for j, p in zip((1, 2, 3), rescaled)) / sup
         wide = solve_first_kind(ProblemSpec("first", (1, 2, 3), 2.0))
         assert feasible_value < wide.objective - 1e-3
 
@@ -362,25 +382,25 @@ class TestClosedFormFirstFull:
         gen = solve_first_kind(ProblemSpec("first", tuple(range(1, n + 1)), b))
         assert cf.objective == pytest.approx(gen.objective, rel=1e-9)
         for j in range(1, n + 1):
-            cc, gc = cf.polys[j], gen.polys[j]
+            cc, gc = monomial(cf.polys[j], n + 1), monomial(gen.polys[j], n + 1)
             for i in range(n + 1):
-                assert abs(cc.coeff(i) - gc.coeff(i)) <= 1e-8
+                assert abs(cc[i] - gc[i]) <= 1e-8
 
     def test_case_b_displayed_polynomials(self):
         """The two printed forms of the top polynomial coincide, and the
         closed form reproduces them."""
         for b in (1.5, 1.6):
-            t1 = chebyshev_t(1).stretch(b)
-            t2 = chebyshev_t(2).stretch(b)
-            t3 = chebyshev_t(3).stretch(b)
-            x = type(t1)((0.0, 1.0))
+            t1 = stretched(chebyshev_t(1), b)
+            t2 = stretched(chebyshev_t(2), b)
+            t3 = stretched(chebyshev_t(3), b)
+            x = Monomial([0.0, 1.0])
             form_a = (b / (b * b - 1.0)) * (x * t2 - ((b * b - 1.0) / b) * t1)
             form_b = (1.0 / (2.0 * (b * b - 1.0))) * (b * b * t3 - (b * b - 2.0) * t1)
-            np.testing.assert_allclose(form_a.coeffs, form_b.coeffs, atol=1e-12)
+            np.testing.assert_allclose(form_a.coef, form_b.coef, atol=1e-12)
             sol = closed_form_first_full(3, b)
-            np.testing.assert_allclose(sol.polys[3].coeffs, form_b.coeffs, atol=1e-12)
+            np.testing.assert_allclose(monomial(sol.polys[3]), form_b.coef, atol=1e-12)
             p2 = (b * math.sqrt(b * b - 2.0) / (b * b - 1.0)) * t2
-            np.testing.assert_allclose(sol.polys[2].coeffs, p2.coeffs, atol=1e-12)
+            np.testing.assert_allclose(monomial(sol.polys[2]), p2.coef, atol=1e-12)
             assert sol.polys[1].is_zero
 
     def test_wide_interval_second_kind_shape(self):
@@ -394,11 +414,11 @@ class TestClosedFormFirstFull:
                 math.sqrt(b) * chebyshev_u_value(n, t)
             )
             ratio = chebyshev_u_value(n + 1, t) / chebyshev_u_value(n - 1, t)
-            shape = chebyshev_u(l).stretch(2.0)
+            shape = stretched(chebyshev_u(l), 2.0)
             if l >= 2:
-                shape = shape - ratio * chebyshev_u(l - 2).stretch(2.0)
+                shape = shape - ratio * stretched(chebyshev_u(l - 2), 2.0)
             expected = beta * shape
-            np.testing.assert_allclose(sol.polys[l].coeffs, expected.coeffs, atol=1e-12)
+            np.testing.assert_allclose(monomial(sol.polys[l]), expected.coef, atol=1e-12)
 
     def test_boundary_continuity_at_jumps(self):
         """At a structural threshold the adjacent phase formulas agree."""
@@ -442,8 +462,9 @@ class TestClosedFormFirstPair:
         gen = solve_first_kind(ProblemSpec("first", (n - 1, n), b))
         assert cf.objective == pytest.approx(gen.objective, rel=1e-9)
         for j in (n - 1, n):
+            cc, gc = monomial(cf.polys[j], n + 1), monomial(gen.polys[j], n + 1)
             for i in range(n + 1):
-                assert abs(cf.polys[j].coeff(i) - gen.polys[j].coeff(i)) <= 1e-8
+                assert abs(cc[i] - gc[i]) <= 1e-8
 
 
 class TestVerifySolution:
@@ -471,18 +492,16 @@ class TestVerifySolution:
         assert report.constraint_sup.sup == pytest.approx(1.0201, rel=1e-10)
 
     def test_plateau_family_is_feasible_to_rounding(self):
-        # the exact sup of these double coefficients is 1 + 7.03e-9; a
-        # sampled scan once read 1 + 1.065e-8 from Horner rounding noise
+        # in monomial coefficients this family's exact sup was 1 + 7.03e-9
+        # and a Horner scan once read 1 + 1.065e-8; as Chebyshev series its
+        # exact sup is 1 + 2.8e-15
         spec = ProblemSpec("first", range(1, 31), 2.005474766178676)
         sol = solve_first_kind(spec)
         report = verify_solution(sol, spec)
         assert report.checks["feasible"]
         with mpmath.workdps(50):
-            x = mpmath.mpf(report.constraint_sup.argmax)
-            exact = sum(
-                mpmath.polyval([mpmath.mpf(c) for c in reversed(p.coeffs)], x) ** 2
-                for p in sol.polys.values()
-            )
+            t = mpmath.mpf(report.constraint_sup.argmax) / mpmath.mpf(spec.b)
+            exact = sum(_clenshaw(p.coeffs, t) ** 2 for p in sol.polys.values())
             assert abs(report.constraint_sup.sup - exact) <= 2e-9
 
     def test_dispatcher_routes_first_kind(self):
@@ -490,3 +509,18 @@ class TestVerifySolution:
         assert solve(spec).objective == pytest.approx(
             solve_first_kind(spec).objective, rel=1e-15
         )
+
+
+@st.composite
+def _first_kind_specs(draw):
+    n = draw(st.integers(1, 31))
+    below = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+    return ProblemSpec("first", below | {n}, draw(st.floats(1e-3, 2.2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_first_kind_specs())
+# in monomial coefficients: sup - 1 = 2.7e-5
+@example(spec=ProblemSpec("first", (29, 30), 1.2504396527030315))
+def test_any_first_kind_set_verifies(spec):
+    assert verify_solution(solve(spec), spec).passed
