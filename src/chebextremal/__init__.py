@@ -38,7 +38,6 @@ from .solver import (
     alpha_weights,
     dual_moments,
     solve,
-    solve_first_kind,
     threshold_index,
     verify_solution,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "monic_orthopolys",
     "reflected",
     "solve",
-    "solve_first_kind",
     "sup_sum_squares",
     "support_measure",
     "threshold_index",

@@ -9,7 +9,8 @@ support).  From the zeta transform
 
 the monic orthogonal polynomials follow a three-term recurrence whose
 coefficients also assemble the symmetric tridiagonal (Jacobi) matrix used
-to recover support points and weights of a terminating measure.
+to recover support points and weights of a terminating measure, and to
+modify the measure by the weight b^2 - x^2.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ def monic_from_recurrence(diag, squares, b: float) -> list[Polynomial]:
     """Monic P_0..P_m from P_{j+1} = (x - a_j) P_j - beta_j^2 P_{j-1}.
 
     ``diag`` holds the m entries a_0..a_{m-1}, ``squares`` the m - 1
-    entries beta_1^2..beta_{m-1}^2 (the output of ``jacobi_coefficients``
-    and of ``lanczos_recurrence``).  The recurrence runs on Chebyshev
+    entries beta_1^2..beta_{m-1}^2, as ``jacobi_coefficients`` and
+    ``weighted_recurrence`` return them.  The recurrence runs on Chebyshev
     series in x/b, where multiplying by x is b times ``chebmulx``.
     """
     out = [np.ones(1)]
@@ -120,32 +121,26 @@ def monic_from_recurrence(diag, squares, b: float) -> list[Polynomial]:
     return [Polynomial(tuple(c), b) for c in out]
 
 
-def lanczos_recurrence(points, weights, m: int):
-    """Diagonal a_0..a_{m-1} and squared off-diagonal beta_1^2..beta_{m-1}^2.
+def weighted_recurrence(diag, squares, b: float):
+    """Recurrence of (b^2 - x^2) d(mu) from the Jacobi matrix of mu.
 
-    Recurrence coefficients P_{j+1} = (x - a_j) P_j - beta_j^2 P_{j-1} of the
-    monic orthogonal polynomials of the discrete measure sum_k w_k delta_{x_k}
-    (weights need not sum to 1), by Lanczos on diag(x) started from
-    sqrt(w): the Stieltjes procedure in its stable form (Gautschi,
-    *Orthogonal Polynomials*, 2004, sec. 2.2).  Each new vector is
-    reorthogonalized against all earlier ones in two Gram-Schmidt passes;
-    with at most 31 points that costs nothing.  Needs at least m points
-    of positive weight.
+    ``diag`` and ``squares`` are the N x N Jacobi matrix J of a measure mu
+    on (-b, b), as ``jacobi_coefficients`` returns it.  Two Christoffel
+    steps by Cholesky (Gautschi, *Orthogonal Polynomials*, 2004, sec.
+    2.4; Galant 1971): bI - J = L L' makes bI - L'L the Jacobi matrix of
+    (b - x) d(mu), and that plus bI = L2 L2' makes L2'L2 - bI the one of
+    (b^2 - x^2) d(mu).  Returns its leading N - 1 diagonal and N - 2
+    squared off-diagonal entries, in the same form: the recurrence of the
+    monic polynomials of degree 0..N - 1.  Both factors are
+    positive definite while mu's support is interior, and with at most 31
+    rows a dense Cholesky costs nothing.
     """
-    x = np.asarray(points, dtype=float)
-    basis = np.empty((m, len(x)))
-    q = np.sqrt(np.asarray(weights, dtype=float))
-    diag: list[float] = []
-    squares: list[float] = []
-    for j in range(m):
-        basis[j] = q / np.linalg.norm(q)
-        q = x * basis[j]
-        diag.append(float(basis[j] @ q))
-        if j + 1 < m:
-            for _ in range(2):
-                q = q - basis[: j + 1].T @ (basis[: j + 1] @ q)
-            squares.append(float(q @ q))
-    return diag, squares
+    off = np.sqrt(squares)
+    eye = b * np.eye(len(diag))
+    low = np.linalg.cholesky(eye - (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)))
+    low2 = np.linalg.cholesky((eye - low.T @ low) + eye)
+    jac = low2.T @ low2 - eye
+    return np.diag(jac)[:-1], np.diag(jac, 1)[:-1] ** 2
 
 
 def l2_norms(cm: CanonicalMomentSeq, n: int) -> list[float]:

@@ -8,7 +8,9 @@ with n = max(I):
   canonical-moment construction.
 * ``second``: the (b^2 - x^2)-weighted variant on I subset of {0..n}.
   Solved for arbitrary I by the same construction on the first kind on
-  I + 1, whose reflected dual measure carries the weighted family.
+  I + 1.  Its family is orthogonal for (b^2 - x^2) times the reflected
+  dual measure, whose recurrence follows from the reflected measure's
+  Jacobi matrix by a Christoffel step.
 
 The optimum of the first kind equals 1/k_n(xi*) where xi* minimizes, over
 probability measures on [-b, b], the largest reciprocal squared norm of
@@ -20,6 +22,7 @@ on the indices attaining the minimal norm.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -27,12 +30,13 @@ import numpy as np
 
 from .canonical import (
     CanonicalMomentSeq,
+    jacobi_coefficients,
     l2_norms,
-    lanczos_recurrence,
     monic_from_recurrence,
     monic_orthopolys,
     reflected,
     support_measure,
+    weighted_recurrence,
 )
 from .errors import InvalidInputError
 from .polynomials import (
@@ -79,9 +83,12 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in (KIND_FIRST, KIND_SECOND):
             raise InvalidInputError(f"kind must be 'first' or 'second', got {self.kind!r}")
-        raw = tuple(self.indices)
-        ints = tuple(int(i) for i in raw)
-        if ints != raw:
+        try:
+            raw = tuple(self.indices)
+            ints = tuple(int(i) for i in raw)
+        except (TypeError, ValueError, OverflowError):
+            raw, ints = self.indices, None
+        if ints is None or ints != raw:
             raise InvalidInputError(f"indices must be integers, got {raw}")
         idx = tuple(sorted(set(ints)))
         if not idx:
@@ -97,8 +104,8 @@ class ProblemSpec:
                 f"{self.kind}-kind max index {idx[-1]} has dual degree {d},"
                 f" above the cap {MAX_DEGREE}"
             )
-        if not 0.0 < self.b <= 10.0:
-            raise InvalidInputError(f"half-width must lie in (0, 10], got {self.b}")
+        if not isinstance(self.b, numbers.Real) or not 0.0 < self.b <= 10.0:
+            raise InvalidInputError(f"half-width must lie in (0, 10], got {self.b!r}")
         # the optimum is at least the lone-Chebyshev value 4^(d-1)/b^(2d)
         if (d - 1) * math.log(4.0) - 2 * d * math.log(self.b) >= math.log(sys.float_info.max):
             raise InvalidInputError(
@@ -209,19 +216,11 @@ def threshold_index(n: int, b: float, kind: str) -> int:
 
     Strict positivity is implemented as "> 1e-12"; at an exact structural
     threshold both adjacent phases produce the same solution, so the side
-    chosen there is observationally irrelevant.
+    chosen there is observationally irrelevant.  Raises
+    ``InvalidInputError`` for any (n, b, kind) that ``ProblemSpec`` rejects.
     """
-    if kind not in (KIND_FIRST, KIND_SECOND):
-        raise InvalidInputError(f"kind must be 'first' or 'second', got {kind!r}")
-    low = 1 if kind == KIND_FIRST else 0
-    if not low <= n or _dual_degree(kind, n) > MAX_DEGREE:
-        raise InvalidInputError(
-            f"{kind}-kind n must be at least {low} with dual degree at most"
-            f" {MAX_DEGREE}, got {n}"
-        )
-    if not 0.0 < b <= 10.0:
-        raise InvalidInputError(f"half-width must lie in (0, 10], got {b}")
-    t = b / 2.0
+    spec = ProblemSpec(kind, (n,), b)
+    n, t = spec.n, spec.b / 2.0
     if kind == KIND_FIRST:
         i_range = range(1, n + 1)
         deg = lambda i: 2 * n - 2 * i + 1
@@ -236,13 +235,6 @@ def threshold_index(n: int, b: float, kind: str) -> int:
         else:
             break
     return k
-
-
-def solve_first_kind(spec: ProblemSpec) -> ExtremalSolution:
-    """``solve`` for a first-kind spec; any other kind is rejected."""
-    if spec.kind != KIND_FIRST:
-        raise InvalidInputError("solve_first_kind expects a first-kind spec")
-    return solve(spec)
 
 
 def _positive_leading(p: Polynomial) -> Polynomial:
@@ -267,8 +259,9 @@ def solve(spec: ProblemSpec) -> ExtremalSolution:
     polynomials P_j of the dual measure.  The second kind runs the same
     chain on the first-kind problem on I + 1; its family is built on the
     monic orthogonal polynomials Q_j of (b^2 - x^2) d(eta), where eta is
-    the reflected lifted dual measure (n + 1 interior points), whose
-    recurrence comes from Lanczos.  Either way member j is
+    the reflected lifted dual measure (n + 1 interior points).  Their
+    recurrence is ``weighted_recurrence`` of eta's exact Jacobi matrix, so
+    no support point or weight is computed.  Either way member j is
     sqrt(alpha / k) times its monic polynomial, with alpha and k taken at
     the (lifted) index, and the objective is 1/k at the top (lifted) index.
     """
@@ -288,10 +281,8 @@ def solve(spec: ProblemSpec) -> ExtremalSolution:
     alphas_all = alpha_weights(cm, lifted.n)
     if weighted:
         dual = reflected(cm)
-        eta = support_measure(dual)
-        x = np.asarray(eta.points)
-        weights = np.asarray(eta.weights) * (spec.b - x) * (spec.b + x)
-        monics = monic_from_recurrence(*lanczos_recurrence(x, weights, spec.n), spec.b)
+        recurrence = weighted_recurrence(*jacobi_coefficients(dual, lifted.n), spec.b)
+        monics = monic_from_recurrence(*recurrence, spec.b)
     else:
         dual = cm
         monics = monic_orthopolys(cm, spec.n)

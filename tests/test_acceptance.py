@@ -22,7 +22,6 @@ from chebextremal import (
     l2_norms,
     monic_orthopolys,
     solve,
-    solve_first_kind,
     sup_sum_squares,
     support_measure,
     threshold_index,
@@ -86,7 +85,7 @@ def _report(tag, ok, detail):
 def test_01_golden_objective_values():
     worst = 0.0
     for b, formula in GOLDEN_CASES:
-        sol = solve_first_kind(ProblemSpec("first", (1, 2, 3), b))
+        sol = solve(ProblemSpec("first", (1, 2, 3), b))
         expected = formula(b)
         worst = max(worst, abs(sol.objective - expected) / abs(expected))
     # adjacent case formulas agree at the shared boundaries
@@ -108,7 +107,7 @@ def test_02_closed_form_matches_general_solver():
     for n in range(1, 9):
         for b in AGREEMENT_BS:
             cf = closed_form_first_full(n, b)
-            gen = solve_first_kind(ProblemSpec("first", tuple(range(1, n + 1)), b))
+            gen = solve(ProblemSpec("first", tuple(range(1, n + 1)), b))
             worst_obj = max(
                 worst_obj, abs(cf.objective - gen.objective) / abs(gen.objective)
             )
@@ -130,7 +129,7 @@ def test_03_oracle_equivalence():
     ok = True
     for idx, b in ORACLE_INSTANCES:
         spec = ProblemSpec("first", idx, b)
-        sol = solve_first_kind(spec)
+        sol = solve(spec)
         start = time.perf_counter()
         result = brute_force_max(spec, budget=200000, seed=0)
         elapsed = time.perf_counter() - start
@@ -151,7 +150,7 @@ def test_04_feasibility_and_attainment():
     worst_sup = 0.0
     worst_attain = 0.0
     for spec in _first_kind_specs():
-        report = verify_solution(solve_first_kind(spec), spec)
+        report = verify_solution(solve(spec), spec)
         worst_sup = max(worst_sup, report.constraint_sup.sup - 1.0)
         worst_attain = max(worst_attain, report.support_attainment)
     ok = worst_sup <= 1e-8 and worst_attain <= 1e-8
@@ -168,7 +167,7 @@ def test_05_duality_certificate():
     for n in range(1, 17):
         for b in CERTIFICATE_BS:
             spec = ProblemSpec("first", tuple(range(1, n + 1)), b)
-            cert = duality_certificate(solve_first_kind(spec), spec)
+            cert = duality_certificate(solve(spec), spec)
             assert cert.ok
             worst_eq = max(
                 worst_eq,
@@ -317,7 +316,7 @@ def test_08_second_kind():
 
 
 def test_09_non_invariance_witness():
-    narrow = solve_first_kind(ProblemSpec("first", (1, 2, 3), 1.0))
+    narrow = solve(ProblemSpec("first", (1, 2, 3), 1.0))
     # the same Chebyshev coefficients on [-2, 2] give x -> p(x/2)
     rescaled = [Polynomial(narrow.polys[j].coeffs, 2.0) for j in (1, 2, 3)]
     sup = sup_sum_squares(rescaled, 2.0).sup

@@ -20,7 +20,7 @@ from chebextremal import (
     support_measure,
     zetas,
 )
-from chebextremal.canonical import lanczos_recurrence
+from chebextremal.canonical import weighted_recurrence
 from closed_forms import monomial
 
 
@@ -168,32 +168,34 @@ class TestSupportMeasure:
         np.testing.assert_allclose(measure.points, points, rtol=0, atol=1e-14 * spec.b)
         np.testing.assert_allclose(measure.weights, vecs[0, :] ** 2, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize(
-        "spec",
-        [ProblemSpec("first", range(1, 31), b) for b in (1.2, 2.0, 5.0)]
-        + [
-            ProblemSpec("first", (29, 30), 5.0),
-            ProblemSpec("first", (2, 5, 9, 16, 23, 30), 2.0),
-            ProblemSpec("second", range(0, 30), 2.0),
-        ],
-    )
-    def test_lanczos_recovers_jacobi_coefficients(self, spec):
-        # Lanczos on the recovered support and weights must give back the
-        # recurrence the canonical moments define
-        cm = solve(spec).dual_moments
-        size = len(cm.p) // 2 + (1 if cm.p[-1] == 1.0 else 0)
-        diag, squares = jacobi_coefficients(cm, size)
-        measure = support_measure(cm)
-        lz_diag, lz_squares = lanczos_recurrence(measure.points, measure.weights, size)
-        np.testing.assert_allclose(lz_diag, diag, rtol=0, atol=1e-13 * spec.b)
-        np.testing.assert_allclose(lz_squares, squares, rtol=0, atol=1e-13 * spec.b**2)
-
     def test_interior_termination_point_count(self):
         # p ending in 0 at index 2n carries n interior points
         cm = CanonicalMomentSeq(b=1.0, p=(0.5, 0.5, 0.5, 0.0))
         measure = support_measure(cm)
         assert len(measure.points) == 2
         assert max(abs(p) for p in measure.points) < 1.0
+
+
+def gegenbauer(lam, b, length):
+    """Canonical moments of the weight (b^2 - x^2)^(lam - 1/2) on [-b, b]."""
+    p = [0.5 if j % 2 else j / 2 / (j + 2 * lam) for j in range(1, length + 1)]
+    return CanonicalMomentSeq(b=b, p=tuple(p))
+
+
+class TestWeightedRecurrence:
+    @pytest.mark.parametrize("size", [3, 12, 31])
+    @pytest.mark.parametrize("b", [0.01, 1.0, 2.0, 7.5])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.3, 4.0])
+    def test_gegenbauer_weight_moves_up_by_one(self, lam, b, size):
+        # (b^2 - x^2) times the weight of lam is the weight of lam + 1, so
+        # the step must give lam + 1's recurrence in its leading entries
+        diag, squares = weighted_recurrence(
+            *jacobi_coefficients(gegenbauer(lam, b, 2 * size - 1), size), b
+        )
+        want_diag, want_squares = jacobi_coefficients(gegenbauer(lam + 1, b, 2 * size - 3), size - 1)
+        assert len(diag) == size - 1 and len(squares) == size - 2
+        np.testing.assert_allclose(diag, want_diag, rtol=0, atol=1e-14 * b)
+        np.testing.assert_allclose(squares, want_squares, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize(

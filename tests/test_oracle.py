@@ -15,7 +15,6 @@ from chebextremal import (
     brute_force_max,
     duality_certificate,
     solve,
-    solve_first_kind,
     sup_sum_squares,
 )
 
@@ -44,7 +43,7 @@ class TestBruteForce:
 
     def test_different_seeds_still_close(self):
         spec = ProblemSpec("first", (1, 2), 1.3)
-        sol = solve_first_kind(spec)
+        sol = solve(spec)
         for seed in (1, 2):
             result = brute_force_max(spec, budget=60000, seed=seed)
             assert abs(result.best_value - sol.objective) <= 1e-3 * max(1.0, sol.objective)
@@ -52,7 +51,7 @@ class TestBruteForce:
     def test_never_exceeds_solver(self):
         for idx, b in [((1, 2), 1.0), ((2, 3), 2.0), ((1, 3), 1.5)]:
             spec = ProblemSpec("first", idx, b)
-            sol = solve_first_kind(spec)
+            sol = solve(spec)
             result = brute_force_max(spec, budget=30000, seed=5)
             assert result.best_value <= sol.objective + 1e-6
 
@@ -84,7 +83,7 @@ class TestDualityCertificate:
     def test_singleton_norm_identity(self, n, b):
         """The moment-matrix route reproduces the Chebyshev optimum."""
         spec = ProblemSpec("first", (n,), b)
-        sol = solve_first_kind(spec)
+        sol = solve(spec)
         cert = duality_certificate(sol, spec)
         assert cert.ok
         assert max(cert.residuals()) <= 1e-9
@@ -101,7 +100,7 @@ class TestDualityCertificate:
             (tuple(range(1, 21)), 2.0),
         ]:
             spec = ProblemSpec("first", idx, b)
-            cert = duality_certificate(solve_first_kind(spec), spec)
+            cert = duality_certificate(solve(spec), spec)
             assert cert.ok
             assert cert.trace_residual <= 1e-9
             assert max(cert.structure_residuals.values()) <= 1e-9
@@ -131,7 +130,7 @@ class TestDualityCertificate:
         assert cert.failed_index == 2
 
     def test_non_terminating_rejected(self):
-        sol = solve_first_kind(ProblemSpec("first", (2,), 1.0))
+        sol = solve(ProblemSpec("first", (2,), 1.0))
         bad = ExtremalSolution(
             polys=sol.polys,
             alphas=sol.alphas,

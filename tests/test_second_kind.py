@@ -215,10 +215,10 @@ class TestClosedFormsAgainstSolver:
 
 
 @st.composite
-def _second_kind_specs(draw):
+def _second_kind_specs(draw, b_max=2.2):
     n = draw(st.integers(0, 30))
     below = draw(st.sets(st.integers(0, n - 1))) if n > 0 else set()
-    return ProblemSpec("second", below | {n}, draw(st.floats(1e-3, 2.2)))
+    return ProblemSpec("second", below | {n}, draw(st.floats(1e-3, b_max)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -237,3 +237,23 @@ def test_any_second_kind_set_solves_through_the_lift(spec):
     assert sol.alphas == {j - 1: a for j, a in lift.alphas.items()}
     assert sol.active_set == tuple(j - 1 for j in lift.active_set)
     assert sol.dual_moments.p == tuple(1.0 - v for v in lift.dual_moments.p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_second_kind_specs(b_max=10.0))
+# both failed feasible and attainment (by 1.0e-7 and 1.9e-8) when the
+# family came from Lanczos on eta's support points and weights
+@example(spec=ProblemSpec("second", (7, 30), 3.89368771644021))
+@example(spec=ProblemSpec("second", (1, 3, 23), 4.0))
+def test_any_accepted_second_kind_set_is_feasible_and_attained(spec):
+    # ROADMAP item 3 (exact complements in the canonical moments) is still
+    # open: some accepted specs raise "rounds to 1" in the dual recurrence,
+    # and objective_consistent can fail at large b, so neither is asserted
+    try:
+        sol = solve(spec)
+    except InvalidInputError as exc:
+        assert "rounds to 1" in str(exc)
+        return
+    checks = verify_solution(sol, spec).checks
+    for name in ("feasible", "attainment", "equimax", "duality"):
+        assert checks[name], name

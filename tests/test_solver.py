@@ -18,7 +18,6 @@ from chebextremal import (
     chebyshev_u_value,
     dual_moments,
     solve,
-    solve_first_kind,
     sup_sum_squares,
     threshold_index,
     verify_solution,
@@ -44,7 +43,19 @@ class TestProblemSpec:
         assert spec.indices == (1, 2, 3)
         assert spec.n == 3
 
-    @pytest.mark.parametrize("indices", [(2.5, 3), (1, 2, 3.000001), np.array([1.5, 2.0])])
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            (2.5, 3),
+            (1, 2, 3.000001),
+            np.array([1.5, 2.0]),
+            (1, math.inf),
+            (math.nan,),
+            ("x",),
+            (None, 2),
+            3,
+        ],
+    )
     def test_non_integral_index_rejected(self, indices):
         with pytest.raises(InvalidInputError, match="integers"):
             ProblemSpec("first", indices, 1.0)
@@ -65,8 +76,9 @@ class TestProblemSpec:
             ProblemSpec("third", (1,), 1.0)
 
     def test_bad_half_width(self):
-        with pytest.raises(InvalidInputError):
-            ProblemSpec("first", (1,), 10.5)
+        for b in (10.5, "2", None):
+            with pytest.raises(InvalidInputError):
+                ProblemSpec("first", (1,), b)
 
     def test_empty_indices(self):
         with pytest.raises(InvalidInputError):
@@ -208,6 +220,11 @@ class TestThresholdIndex:
             ProblemSpec("first", (32,), 1.0)
         assert threshold_index(30, 1.0, "second") == 31
         assert threshold_index(31, 1.0, "first") == 31
+        # ProblemSpec rejects this b (the optimum overflows) and this n
+        with pytest.raises(InvalidInputError):
+            threshold_index(3, 1e-300, "first")
+        with pytest.raises(InvalidInputError):
+            threshold_index(2.5, 1.0, "first")
 
     def test_second_kind_wide_interval_floors_at_one(self):
         for n in range(0, 7):
@@ -264,20 +281,20 @@ def _locate_jumps(n, kind, lo, hi, coarse=4001):
 class TestSolveFirstKind:
     def test_singleton_is_rescaled_chebyshev(self):
         spec = ProblemSpec("first", (3,), 1.0)
-        sol = solve_first_kind(spec)
+        sol = solve(spec)
         np.testing.assert_allclose(monomial(sol.polys[3]), (0.0, -3.0, 0.0, 4.0), atol=1e-12)
         assert sol.objective == pytest.approx(16.0, rel=1e-12)
 
     def test_example_full_set_wide(self):
-        sol = solve_first_kind(ProblemSpec("first", (1, 2, 3), 2.0))
+        sol = solve(ProblemSpec("first", (1, 2, 3), 2.0))
         assert sol.objective == pytest.approx(0.375, rel=1e-12)
 
     def test_example_pair(self):
-        sol = solve_first_kind(ProblemSpec("first", (2, 3), 2.0))
+        sol = solve(ProblemSpec("first", (2, 3), 2.0))
         assert sol.objective == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_inactive_indices_carry_zero_polynomials(self):
-        sol = solve_first_kind(ProblemSpec("first", (1, 2, 3), 1.0))
+        sol = solve(ProblemSpec("first", (1, 2, 3), 1.0))
         assert sol.polys[1].is_zero
         assert sol.polys[2].is_zero
         assert not sol.polys[3].is_zero
@@ -285,12 +302,12 @@ class TestSolveFirstKind:
     def test_objective_is_sum_of_squared_leading_coefficients(self):
         for idx in [(1, 2, 3), (2, 3), (1, 3), (2, 4)]:
             for b in (0.8, 1.5, 2.3):
-                sol = solve_first_kind(ProblemSpec("first", idx, b))
+                sol = solve(ProblemSpec("first", idx, b))
                 total = sum(monomial(p, j + 1)[j] ** 2 for j, p in sol.polys.items())
                 assert total == pytest.approx(sol.objective, rel=1e-12)
 
     def test_positive_leading_signs(self):
-        sol = solve_first_kind(ProblemSpec("first", (1, 2, 3, 4), 2.1))
+        sol = solve(ProblemSpec("first", (1, 2, 3, 4), 2.1))
         for p in sol.polys.values():
             if not p.is_zero:
                 assert p.leading > 0.0
@@ -298,24 +315,24 @@ class TestSolveFirstKind:
     @pytest.mark.parametrize("b", [1.0, SQRT2, 1.7, SQRT3, 2.0, 3.0])
     def test_singleton_invariance(self, b):
         """The one-polynomial solution is always the rescaled Chebyshev."""
-        sol = solve_first_kind(ProblemSpec("first", (4,), b))
+        sol = solve(ProblemSpec("first", (4,), b))
         expected = stretched(chebyshev_t(4), b)
         np.testing.assert_allclose(monomial(sol.polys[4]), expected.coef,
                                    rtol=1e-12, atol=1e-12)
 
     def test_non_invariance_for_richer_sets(self):
         """Rescaling the narrow-interval family does not stay optimal."""
-        narrow = solve_first_kind(ProblemSpec("first", (1, 2, 3), 1.0))
+        narrow = solve(ProblemSpec("first", (1, 2, 3), 1.0))
         # the same Chebyshev coefficients on [-2, 2] give x -> p(x/2)
         rescaled = [Polynomial(narrow.polys[j].coeffs, 2.0) for j in (1, 2, 3)]
         sup = sup_sum_squares(rescaled, 2.0).sup
         feasible_value = sum(monomial(p, j + 1)[j] ** 2 for j, p in zip((1, 2, 3), rescaled)) / sup
-        wide = solve_first_kind(ProblemSpec("first", (1, 2, 3), 2.0))
+        wide = solve(ProblemSpec("first", (1, 2, 3), 2.0))
         assert feasible_value < wide.objective - 1e-3
 
     def test_objective_nonincreasing_in_b(self):
         for idx in [(1, 2, 3), (2, 3), (1, 3)]:
-            values = [solve_first_kind(ProblemSpec("first", idx, float(b))).objective
+            values = [solve(ProblemSpec("first", idx, float(b))).objective
                       for b in np.linspace(0.5, 3.0, 20)]
             assert all(u >= v - 1e-12 for u, v in zip(values, values[1:]))
 
@@ -324,7 +341,7 @@ class TestSolveFirstKind:
         for idx in [(1, 2, 3), (1, 3), (2, 4), (1, 2, 3, 4, 5)]:
             for b in (0.7, 1.6, 2.4):
                 spec = ProblemSpec("first", idx, b)
-                sol = solve_first_kind(spec)
+                sol = solve(spec)
                 ks = l2_norms(sol.dual_moments, spec.n)
                 k_top = ks[spec.n - 1]
                 for j in idx:
@@ -336,7 +353,7 @@ class TestSolveFirstKind:
     def test_weights_vanish_off_active_set(self):
         for idx in [(1, 2, 3), (1, 3), (2, 4, 5)]:
             for b in (0.7, 1.6, 2.4):
-                sol = solve_first_kind(ProblemSpec("first", idx, b))
+                sol = solve(ProblemSpec("first", idx, b))
                 for j in idx:
                     if j not in sol.active_set:
                         assert sol.alphas[j] == 0.0
@@ -348,7 +365,7 @@ class TestSolveFirstKind:
         for idx in [(1, 2, 3), (2, 3), (1, 4, 6)]:
             for b in (0.8, 1.7, 2.5):
                 spec = ProblemSpec("first", idx, b)
-                sol = solve_first_kind(spec)
+                sol = solve(spec)
                 ks = l2_norms(sol.dual_moments, spec.n)
                 mixed = sum(sol.alphas[j] / ks[j - 1] for j in sol.active_set)
                 assert mixed == pytest.approx(sol.objective, rel=1e-10)
@@ -379,7 +396,7 @@ class TestClosedFormFirstFull:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_agreement_with_general_solver(self, n, b):
         cf = closed_form_first_full(n, b)
-        gen = solve_first_kind(ProblemSpec("first", tuple(range(1, n + 1)), b))
+        gen = solve(ProblemSpec("first", tuple(range(1, n + 1)), b))
         assert cf.objective == pytest.approx(gen.objective, rel=1e-9)
         for j in range(1, n + 1):
             cc, gc = monomial(cf.polys[j], n + 1), monomial(gen.polys[j], n + 1)
@@ -459,7 +476,7 @@ class TestClosedFormFirstPair:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_agreement_with_general_solver(self, n, b):
         cf = closed_form_first_pair(n, b)
-        gen = solve_first_kind(ProblemSpec("first", (n - 1, n), b))
+        gen = solve(ProblemSpec("first", (n - 1, n), b))
         assert cf.objective == pytest.approx(gen.objective, rel=1e-9)
         for j in (n - 1, n):
             cc, gc = monomial(cf.polys[j], n + 1), monomial(gen.polys[j], n + 1)
@@ -470,14 +487,14 @@ class TestClosedFormFirstPair:
 class TestVerifySolution:
     def test_chebyshev_case(self):
         spec = ProblemSpec("first", (3,), 1.0)
-        report = verify_solution(solve_first_kind(spec), spec)
+        report = verify_solution(solve(spec), spec)
         assert report.passed
         assert report.constraint_sup.sup == pytest.approx(1.0, abs=1e-10)
         assert report.duality_residual <= 1e-10
 
     def test_example_case_c(self):
         spec = ProblemSpec("first", (1, 2, 3), 2.0)
-        report = verify_solution(solve_first_kind(spec), spec)
+        report = verify_solution(solve(spec), spec)
         assert report.passed
         assert report.objective == pytest.approx(0.375, rel=1e-12)
         assert report.support_attainment <= 1e-8
@@ -485,7 +502,7 @@ class TestVerifySolution:
 
     def test_scaled_family_fails_feasibility(self):
         spec = ProblemSpec("first", (1, 2, 3), 2.0)
-        sol = solve_first_kind(spec)
+        sol = solve(spec)
         scaled = replace(sol, polys={j: 1.01 * p for j, p in sol.polys.items()})
         report = verify_solution(scaled, spec)
         assert not report.checks["feasible"]
@@ -496,7 +513,7 @@ class TestVerifySolution:
         # and a Horner scan once read 1 + 1.065e-8; as Chebyshev series its
         # exact sup is 1 + 2.8e-15
         spec = ProblemSpec("first", range(1, 31), 2.005474766178676)
-        sol = solve_first_kind(spec)
+        sol = solve(spec)
         report = verify_solution(sol, spec)
         assert report.checks["feasible"]
         with mpmath.workdps(50):
@@ -504,11 +521,6 @@ class TestVerifySolution:
             exact = sum(_clenshaw(p.coeffs, t) ** 2 for p in sol.polys.values())
             assert abs(report.constraint_sup.sup - exact) <= 2e-9
 
-    def test_dispatcher_routes_first_kind(self):
-        spec = ProblemSpec("first", (1, 4), 1.2)
-        assert solve(spec).objective == pytest.approx(
-            solve_first_kind(spec).objective, rel=1e-15
-        )
 
 
 @st.composite
