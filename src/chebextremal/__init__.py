@@ -24,12 +24,7 @@ from .oracle import (
     brute_force_max,
     duality_certificate,
 )
-from .polynomials import (
-    Polynomial,
-    SupNormReport,
-    chebyshev_u_value,
-    sup_sum_squares,
-)
+from .polynomials import Polynomial, SupNormReport, sup_sum_squares
 from .solver import (
     ExtremalSolution,
     ProblemSpec,
@@ -38,7 +33,6 @@ from .solver import (
     alpha_weights,
     dual_moments,
     solve,
-    threshold_index,
     verify_solution,
 )
 
@@ -60,7 +54,6 @@ __all__ = [
     "active_set",
     "alpha_weights",
     "brute_force_max",
-    "chebyshev_u_value",
     "dual_moments",
     "duality_certificate",
     "jacobi_coefficients",
@@ -70,7 +63,6 @@ __all__ = [
     "solve",
     "sup_sum_squares",
     "support_measure",
-    "threshold_index",
     "verify_solution",
     "zetas",
 ]

@@ -39,20 +39,18 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 
 def _solution_record(spec, sol, report) -> dict:
-    solution: dict = {}
-    if sol.phase_index is not None:
-        solution["phase_index"] = sol.phase_index
-    solution["dual_moments"] = {
-        "b": sol.dual_moments.b,
-        "p": list(sol.dual_moments.p),
-        "terminating": sol.dual_moments.terminating,
+    solution = {
+        "phase_index": sol.phase_index,
+        "dual_moments": {
+            "b": sol.dual_moments.b,
+            "p": list(sol.dual_moments.p),
+            "terminating": sol.dual_moments.terminating,
+        },
+        "alphas": {str(j): sol.alphas[j] for j in spec.indices},
+        "polys": [{"index": j, "cheb": list(sol.polys[j].coeffs)} for j in spec.indices],
+        "objective": sol.objective,
+        "active_set": list(sol.active_set),
     }
-    solution["alphas"] = {str(j): sol.alphas[j] for j in spec.indices}
-    solution["polys"] = [
-        {"index": j, "cheb": list(sol.polys[j].coeffs)} for j in spec.indices
-    ]
-    solution["objective"] = sol.objective
-    solution["active_set"] = list(sol.active_set)
     return {
         "version": SCHEMA_VERSION,
         "spec": {"kind": spec.kind, "indices": list(spec.indices), "b": spec.b},
@@ -86,10 +84,9 @@ def cmd_sweep(args) -> int:
     for b in np.linspace(args.b_min, args.b_max, args.steps):
         spec = ProblemSpec(kind=args.kind, indices=indices, b=float(b))
         sol = solve(spec)
-        k = sol.phase_index if sol.phase_index is not None else min(sol.active_set)
         active = ";".join(str(j) for j in sol.active_set)
         lines.append(
-            f"{format(spec.b, '.17g')},{k},{format(sol.objective, '.17g')},{active}"
+            f"{format(spec.b, '.17g')},{sol.phase_index},{format(sol.objective, '.17g')},{active}"
         )
     print("\n".join(lines))
     return EXIT_OK

@@ -105,6 +105,8 @@ def brute_force_max(
         raise InvalidInputError(f"budget must be at least 1000, got {budget}")
     if restarts < 1:
         raise InvalidInputError(f"need at least one restart, got {restarts}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
     b = spec.b
     weighted = spec.kind == KIND_SECOND
     sizes = [j + 1 for j in spec.indices]

@@ -1,4 +1,4 @@
-"""Polynomials as Chebyshev series on [-b, b], Chebyshev U values, sup norms.
+"""Polynomials as Chebyshev series on [-b, b] and exact sup norms.
 
 A polynomial on [-b, b] is stored by its coefficients in the Chebyshev
 basis of that interval, T_k(x/b).  Those coefficients are bounded by twice
@@ -91,22 +91,6 @@ class SupNormReport:
 
     sup: float
     argmax: float
-
-
-def chebyshev_u_value(n: int, t: float) -> float:
-    """U_n(t) by forward recurrence, with U_{-1} = 0 and U_{-2} = -1."""
-    if n == -1:
-        return 0.0
-    if n == -2:
-        return -1.0
-    if n < -2:
-        raise InvalidInputError(f"U_n undefined for n={n}")
-    prev, cur = 1.0, 2.0 * t
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, 2.0 * t * cur - prev
-    return cur
 
 
 def sup_sum_squares(polys, b: float, weighted: bool = False) -> SupNormReport:

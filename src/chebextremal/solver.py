@@ -16,7 +16,8 @@ The optimum of the first kind equals 1/k_n(xi*) where xi* minimizes, over
 probability measures on [-b, b], the largest reciprocal squared norm of
 its monic orthogonal polynomials across I.  The solution family is
 sqrt(alpha_j / k_j(xi*)) P_j(x, xi*) with convex weights alpha supported
-on the indices attaining the minimal norm.
+on the indices attaining the minimal norm.  The phase index, the lowest
+index with alpha_j > 0, is read off those same weights.
 """
 
 from __future__ import annotations
@@ -39,19 +40,10 @@ from .canonical import (
     weighted_recurrence,
 )
 from .errors import InvalidInputError
-from .polynomials import (
-    MAX_DEGREE,
-    Polynomial,
-    SupNormReport,
-    chebyshev_u_value,
-    sup_sum_squares,
-)
+from .polynomials import MAX_DEGREE, Polynomial, SupNormReport, sup_sum_squares
 
 KIND_FIRST = "first"
 KIND_SECOND = "second"
-
-#: strict-positivity threshold for the phase-index test
-THRESHOLD_EPS = 1e-12
 
 #: relative tolerance for detecting indices of minimal squared norm
 ACTIVE_SET_RTOL = 1e-9
@@ -121,14 +113,21 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class ExtremalSolution:
-    """Optimal polynomial family plus the dual data that certifies it."""
+    """Optimal polynomial family plus the dual data that certifies it.
+
+    ``phase_index`` is the lowest index of the first-kind problem that
+    ``solve`` runs whose dual weight alpha is positive; every member below
+    it vanishes.  That problem is I itself for the first kind and the lift
+    I + 1 for the second, so a second-kind phase index k counts in the
+    lift: its lowest nonvanishing member has degree k - 1.
+    """
 
     polys: dict[int, Polynomial]
     alphas: dict[int, float]
     objective: float
     dual_moments: CanonicalMomentSeq
     active_set: tuple[int, ...]
-    phase_index: int | None = None
+    phase_index: int
 
 
 @dataclass(frozen=True)
@@ -208,35 +207,6 @@ def alpha_weights(cm: CanonicalMomentSeq, n: int) -> list[float]:
     return out
 
 
-def threshold_index(n: int, b: float, kind: str) -> int:
-    """Phase index k: smallest start of an all-positive run of U values.
-
-    first kind:  k = min{ j in 1..n   : U_{2n-2i+1}(b/2) > eps for i = j..n }
-    second kind: k = min{ j in 1..n+1 : U_{2n-2i+3}(b/2) > eps for i = j..n+1 }
-
-    Strict positivity is implemented as "> 1e-12"; at an exact structural
-    threshold both adjacent phases produce the same solution, so the side
-    chosen there is observationally irrelevant.  Raises
-    ``InvalidInputError`` for any (n, b, kind) that ``ProblemSpec`` rejects.
-    """
-    spec = ProblemSpec(kind, (n,), b)
-    n, t = spec.n, spec.b / 2.0
-    if kind == KIND_FIRST:
-        i_range = range(1, n + 1)
-        deg = lambda i: 2 * n - 2 * i + 1
-    else:
-        i_range = range(1, n + 2)
-        deg = lambda i: 2 * n - 2 * i + 3
-    k = max(i_range)
-    # conditions nest: the run for j contains the run for j+1, so scan down
-    for i in reversed(i_range):
-        if chebyshev_u_value(deg(i), t) > THRESHOLD_EPS:
-            k = i
-        else:
-            break
-    return k
-
-
 def _positive_leading(p: Polynomial) -> Polynomial:
     return -p if p.leading < 0.0 else p
 
@@ -264,6 +234,7 @@ def solve(spec: ProblemSpec) -> ExtremalSolution:
     no support point or weight is computed.  Either way member j is
     sqrt(alpha / k) times its monic polynomial, with alpha and k taken at
     the (lifted) index, and the objective is 1/k at the top (lifted) index.
+    The phase index is the lowest (lifted) index with alpha > 0.
     """
     weighted = spec.kind == KIND_SECOND
     lifted = _lifted_first_spec(spec.indices, spec.b) if weighted else spec
@@ -299,16 +270,13 @@ def solve(spec: ProblemSpec) -> ExtremalSolution:
             polys[j] = _positive_leading(scaled)
     objective = 1.0 / ks[lifted.n - 1]
 
-    phase = None
-    if spec.indices == tuple(range(1 - shift, spec.n + 1)):
-        phase = threshold_index(spec.n, spec.b, spec.kind)
     return ExtremalSolution(
         polys=polys,
         alphas=alphas,
         objective=objective,
         dual_moments=dual,
         active_set=tuple(j - shift for j in active_set(cm, lifted)),
-        phase_index=phase,
+        phase_index=next(j for j in lifted.indices if alphas_all[j - 1] > 0.0),
     )
 
 

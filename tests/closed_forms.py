@@ -9,22 +9,27 @@ The formulas are evaluated in monomial coefficients with numpy's
 ``Polynomial``, independently of the library's Chebyshev series, and each
 member is handed back as a library ``Polynomial`` through ``poly2cheb``
 (``to_library``).  Tests compare coefficients through ``monomial``.
+
+The phase index has two oracles here: ``threshold_index`` finds it for
+full sets by signs of Chebyshev U values, and ``reference_phase_index``
+for any set from a 60-digit run of the dual recurrence.  ``solve`` reads
+it off its own dual weights instead.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 
 from chebextremal.canonical import CanonicalMomentSeq, reflected
 from chebextremal.errors import DegreeLimitError, InvalidInputError
-from chebextremal.polynomials import MAX_DEGREE, Polynomial, chebyshev_u_value
+from chebextremal.polynomials import MAX_DEGREE, Polynomial
 from chebextremal.solver import (
     KIND_FIRST,
     KIND_SECOND,
-    THRESHOLD_EPS,
     ExtremalSolution,
     ProblemSpec,
     _lifted_first_spec,
@@ -32,12 +37,80 @@ from chebextremal.solver import (
     active_set,
     alpha_weights,
     dual_moments,
-    threshold_index,
 )
 
 
 #: monomial polynomials of the test oracle
 Monomial = np.polynomial.Polynomial
+
+#: strict-positivity threshold for the phase-index test
+THRESHOLD_EPS = 1e-12
+
+
+def chebyshev_u_value(n: int, t: float) -> float:
+    """U_n(t) by forward recurrence, with U_{-1} = 0 and U_{-2} = -1."""
+    if n == -1:
+        return 0.0
+    if n == -2:
+        return -1.0
+    if n < -2:
+        raise InvalidInputError(f"U_n undefined for n={n}")
+    prev, cur = 1.0, 2.0 * t
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        prev, cur = cur, 2.0 * t * cur - prev
+    return cur
+
+
+def threshold_index(n: int, b: float, kind: str) -> int:
+    """Phase index k: smallest start of an all-positive run of U values.
+
+    first kind:  k = min{ j in 1..n   : U_{2n-2i+1}(b/2) > eps for i = j..n }
+    second kind: k = min{ j in 1..n+1 : U_{2n-2i+3}(b/2) > eps for i = j..n+1 }
+
+    Strict positivity is implemented as "> 1e-12"; at an exact structural
+    threshold both adjacent phases produce the same solution, so the side
+    chosen there is observationally irrelevant.  Raises
+    ``InvalidInputError`` for any (n, b, kind) that ``ProblemSpec`` rejects.
+    """
+    spec = ProblemSpec(kind, (n,), b)
+    n, t = spec.n, spec.b / 2.0
+    if kind == KIND_FIRST:
+        i_range = range(1, n + 1)
+        deg = lambda i: 2 * n - 2 * i + 1
+    else:
+        i_range = range(1, n + 2)
+        deg = lambda i: 2 * n - 2 * i + 3
+    k = max(i_range)
+    # conditions nest: the run for j contains the run for j+1, so scan down
+    for i in reversed(i_range):
+        if chebyshev_u_value(deg(i), t) > THRESHOLD_EPS:
+            k = i
+        else:
+            break
+    return k
+
+
+def reference_phase_index(spec: ProblemSpec, dps: int = 60) -> int:
+    """Phase index from a ``dps``-digit run of the dual recurrence.
+
+    The recurrence is ``dual_moments``'s on the problem that ``solve``
+    runs: the first kind on I itself, or on I + 1 for the second kind.  The
+    phase index is that problem's lowest index m with p_{2m} > 1/2, the
+    lowest with a positive dual weight.  At this precision no entry below
+    the top rounds to 1.
+    """
+    lifted = spec if spec.kind == KIND_FIRST else _lifted_first_spec(spec.indices, spec.b)
+    n, members = lifted.n, set(lifted.indices)
+    with mpmath.workdps(dps):
+        b, half = mpmath.mpf(lifted.b), mpmath.mpf(0.5)
+        p = {n: mpmath.mpf(1)}
+        tail = mpmath.mpf(1)  # running product of q_{2i} p_{2i} over i = m+1 .. n-1
+        for m in range(n - 1, 0, -1):
+            p[m] = max(1 - b ** (-2 * (n - m)) / tail, half) if m in members else half
+            tail *= (1 - p[m]) * p[m]
+    return next(m for m in lifted.indices if p[m] > half)
 
 
 def monomial(p: Polynomial, length: int | None = None) -> np.ndarray:

@@ -16,7 +16,6 @@ from chebextremal import (
     ProblemSpec,
     alpha_weights,
     brute_force_max,
-    chebyshev_u_value,
     dual_moments,
     duality_certificate,
     l2_norms,
@@ -24,14 +23,15 @@ from chebextremal import (
     solve,
     sup_sum_squares,
     support_measure,
-    threshold_index,
     verify_solution,
 )
 from closed_forms import (
+    chebyshev_u_value,
     closed_form_first_full,
     closed_form_second_full,
     closed_form_second_pair,
     monomial,
+    threshold_index,
 )
 
 SQRT2 = math.sqrt(2.0)

@@ -74,6 +74,16 @@ class TestSolveCommand:
         assert doc["solution"]["objective"] == 1.4046639231824416
         assert doc["verification"]["pass"] is True
 
+    def test_gapped_set_carries_phase_index(self, capsys):
+        # the lowest degree with a positive dual weight; a second-kind
+        # phase index counts in the lift I + 1
+        for kind, indices, b, phase in (("first", "1,4,6", "1.7", 4),
+                                        ("second", "0,2", "1.5", 3)):
+            code, out, _ = run_cli(capsys, "solve", "--kind", kind,
+                                   "--indices", indices, "--b", b)
+            assert code == 0
+            assert json.loads(out)["solution"]["phase_index"] == phase
+
     def test_serialization_round_trips_bit_exactly(self, capsys):
         _, out, _ = run_cli(capsys, "solve", "--kind", "first",
                             "--indices", "1,2,3", "--b", "1.7")
@@ -95,7 +105,7 @@ class TestSolveCommand:
                 b=float(dm["b"]), p=tuple(float(v) for v in dm["p"])
             ),
             active_set=tuple(doc["solution"]["active_set"]),
-            phase_index=doc["solution"].get("phase_index"),
+            phase_index=doc["solution"]["phase_index"],
         )
         report = verify_solution(sol, spec)
         ver = doc["verification"]
@@ -154,6 +164,17 @@ class TestSweepCommand:
         assert ks[-1] == 1
         assert sorted(set(ks), reverse=True) == [3, 2, 1]
 
+    def test_gapped_second_kind_reads_phase_off_the_dual(self, capsys):
+        # the active set is (9,) and then (0,), but alpha_0 > 0 on both rows,
+        # so the phase index is 1 (in the lift I + 1) throughout
+        code, out, _ = run_cli(capsys, "sweep", "--kind", "second", "--indices", "0,9",
+                               "--b-min", "6.878622827603265", "--b-max", "6.9",
+                               "--steps", "2")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [r[3] for r in rows] == ["9", "0"]
+        assert [int(r[1]) for r in rows] == [1, 1]
+
     def test_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--kind", "first", "--indices", "1,2",
                                "--b-min", "2", "--b-max", "1", "--steps", "5")
@@ -189,6 +210,14 @@ class TestOracleCommand:
         doc = json.loads(out)
         assert code == 0
         assert doc["gap"] <= 1e-3 * max(1.0, doc["solver_objective"])
+
+
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--kind", "first", "--indices", "1",
+                                 "--b", "1", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "seed" in err
 
 
 class TestArgumentErrors:

@@ -76,6 +76,10 @@ class TestBruteForce:
         with pytest.raises(InvalidInputError):
             brute_force_max(ProblemSpec("first", (1,), 1.0), budget=10, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="seed"):
+            brute_force_max(ProblemSpec("first", (1,), 1.0), budget=10000, seed=-1)
+
 
 class TestDualityCertificate:
     @pytest.mark.parametrize("n", range(1, 6))
@@ -123,6 +127,7 @@ class TestDualityCertificate:
             objective=1.0,
             dual_moments=CanonicalMomentSeq(b=1.0, p=(0.5, 1.0)),
             active_set=(2,),
+            phase_index=2,
         )
         spec = ProblemSpec("first", (2,), 1.0)
         cert = duality_certificate(doctored, spec)
@@ -137,6 +142,7 @@ class TestDualityCertificate:
             objective=sol.objective,
             dual_moments=CanonicalMomentSeq(b=1.0, p=(0.5, 0.5, 0.5, 0.5)),
             active_set=sol.active_set,
+            phase_index=sol.phase_index,
         )
         with pytest.raises(InvalidInputError):
             duality_certificate(bad, ProblemSpec("first", (2,), 1.0))

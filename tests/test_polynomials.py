@@ -11,10 +11,17 @@ from chebextremal import (
     DegreeLimitError,
     InvalidInputError,
     Polynomial,
-    chebyshev_u_value,
     sup_sum_squares,
 )
-from closed_forms import Monomial, chebyshev_t, chebyshev_u, monomial, stretched, to_library
+from closed_forms import (
+    Monomial,
+    chebyshev_t,
+    chebyshev_u,
+    chebyshev_u_value,
+    monomial,
+    stretched,
+    to_library,
+)
 
 
 class TestPolynomial:

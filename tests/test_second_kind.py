@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from chebextremal import (
     InvalidInputError,
     ProblemSpec,
-    chebyshev_u_value,
     solve,
     sup_sum_squares,
     verify_solution,
 )
 from closed_forms import (
     chebyshev_u,
+    chebyshev_u_value,
     closed_form_first_full,
     closed_form_second_full,
     closed_form_second_pair,
