@@ -4,7 +4,8 @@ Solves, by a dual canonical-moment construction, the problem of maximizing
 the sum of squared leading coefficients of a family of polynomials with
 prescribed degrees, subject to a sup-norm bound on the (optionally
 endpoint-weighted) sum of their squares over [-b, b].  Ships an independent
-brute-force oracle and duality-certificate checks.
+oracle, which brackets the optimum from the duality by a master LP, and
+duality-certificate checks.
 """
 
 from .canonical import (
@@ -20,9 +21,9 @@ from .canonical import (
 from .errors import DegreeLimitError, InsufficientDataError, InvalidInputError
 from .oracle import (
     CertificateReport,
-    OracleResult,
-    brute_force_max,
+    OracleBracket,
     duality_certificate,
+    oracle_bracket,
 )
 from .polynomials import Polynomial, SupNormReport, sup_sum_squares
 from .solver import (
@@ -46,19 +47,19 @@ __all__ = [
     "ExtremalSolution",
     "InsufficientDataError",
     "InvalidInputError",
-    "OracleResult",
+    "OracleBracket",
     "Polynomial",
     "ProblemSpec",
     "SupNormReport",
     "VerificationReport",
     "active_set",
     "alpha_weights",
-    "brute_force_max",
     "dual_moments",
     "duality_certificate",
     "jacobi_coefficients",
     "l2_norms",
     "monic_orthopolys",
+    "oracle_bracket",
     "reflected",
     "solve",
     "sup_sum_squares",

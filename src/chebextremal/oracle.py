@@ -1,14 +1,15 @@
-"""Independent verification: brute-force search and duality certificates.
+"""Independent verification: an LP bracket from the duality, and duality certificates.
 
-The brute-force maximizer never touches the canonical-moment machinery.
-It optimizes the scale-invariant ratio
-
-    R(c) = sum_j m_j(c)^2 / sup_x W(x) sum_j P_j(x, c)^2
-
-over raw coefficient vectors (W = 1, or b^2 - x^2 for the weighted kind).
-Because numerator and constraint are both homogeneous of degree two, the
-maximum of R over all coefficient vectors equals the optimum of the
-constrained problem, so no penalty tuning is needed.
+The bracket never touches the canonical-moment machinery.  It rests on the
+duality of the paper: the optimum equals the minimum, over probability
+measures xi on [-b, b], of max_{j in I} 1/k_j(xi), where k_j(xi) is the
+squared norm of the monic orthogonal polynomial P_j of W d(xi) (W = 1, or
+b^2 - x^2 for the weighted kind).  Weak duality makes max_j 1/k_j(xi) an
+upper bound for every xi, and any feasible family a lower bound, so the
+oracle returns a rigorous bracket rather than a best guess.  The bounds come
+from a master LP over mixtures of squared polynomials (Fedorov's
+vertex-direction design method, *Theory of Optimal Experiments*, 1972,
+with a fully corrective step), see ``oracle_bracket``.
 
 The certificate checker rebuilds the discrete dual measure and, in double
 precision, its moment matrices M_j in the Chebyshev basis of the support's
@@ -18,10 +19,10 @@ a_j = sqrt(k_j) M_j^{-1} e_j and evaluates the optimality equalities:
 sum_j trace(M_j N_j) = 1, the rank-one structure equation per index, and
 the min-equality tying the weights to the indices of minimal norm.
 
-Only these two checks use scipy (``scipy.optimize`` for the search,
-``scipy.linalg.solve_triangular`` for the certificate), and each imports it
-on its first call, so importing this module, and with it the solver and the
-CLI ``solve`` path, loads numpy alone.
+Only these two checks use scipy (``scipy.optimize`` for the LP and the
+polish of the bracket, ``scipy.linalg.solve_triangular`` for both), and
+each imports it on its first call, so importing this module, and with it
+the solver and the CLI ``solve`` path, loads numpy alone.
 """
 
 from __future__ import annotations
@@ -30,25 +31,41 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander, poly2cheb
+from numpy.polynomial.chebyshev import chebder, chebval, chebvander
 
 from .canonical import l2_norms, reflected, support_measure
 from .errors import InvalidInputError
-from .polynomials import Polynomial, sup_sum_squares
+from .polynomials import Polynomial, critical_points, sum_squares, sup_sum_squares
 from .solver import KIND_SECOND, ExtremalSolution, ProblemSpec
 
 ORACLE_MAX_N = 5
-DEFAULT_RESTARTS = 50
+#: relative bracket width (upper - lower) / upper at which the oracle stops
+BRACKET_RTOL = 1e-6
+#: master-LP iterations after which the bracket is returned as it stands
+MAX_ITERATIONS = 200
+#: SLSQP iterations of one polish of a dual measure
+POLISH_ITERATIONS = 100
+#: a round that leaves more than this share of the bracket width has stalled
+STALL = 0.9
+#: consecutive stalled rounds after which the dual measure is searched more widely
+STALL_ROUNDS = 3
 
 
 @dataclass(frozen=True)
-class OracleResult:
-    """Best feasible family found by the derivative-free search."""
+class OracleBracket:
+    """Two-sided bound on the optimum from the duality.
 
-    best_value: float
-    best_coeffs: dict[int, Polynomial]
-    evaluations: int
-    seed: int
+    ``family`` is feasible (its exact constraint sup is 1 up to rounding)
+    and ``lower`` is its objective, the sum of its squared leading
+    coefficients; ``upper`` is max_j 1/k_j(xi) for the best measure xi
+    found, which bounds every feasible family.  ``iterations`` counts the
+    master-LP rounds.
+    """
+
+    lower: float
+    upper: float
+    family: dict[int, Polynomial]
+    iterations: int
 
 
 @dataclass
@@ -80,137 +97,324 @@ class CertificateReport:
         return out
 
 
-def brute_force_max(
-    spec: ProblemSpec,
-    budget: int,
-    seed: int,
-    restarts: int = DEFAULT_RESTARTS,
-) -> OracleResult:
-    """Derivative-free multistart maximization of the coefficient ratio.
+def _weight(spec: ProblemSpec, x):
+    """The constraint weight W at x: 1, or b^2 - x^2 for the weighted kind."""
+    b = spec.b
+    return (b - x) * (b + x) if spec.kind == KIND_SECOND else np.ones_like(x)
 
-    Runs ``restarts`` Nelder-Mead descents on -R from points drawn
-    deterministically from ``seed``, then polishes the best one with the
-    remaining budget.  During the search the constraint sup is taken on a
-    fixed dense Chebyshev grid; the returned family is rescaled by the
-    rigorous sup so it is feasible and ``best_value`` is honest; only that
-    winner is converted to Chebyshev series on [-b, b].  Runs are
-    merged by (value, restart index), so the output is reproducible.
+
+def _orthogonal(spec: ProblemSpec, lam, points, weights):
+    """QR factor of W d(xi) in the Chebyshev basis, and max_{j in I} 1/k_j(xi).
+
+    R is the triangular factor of sqrt(xi W) times the Chebyshev-Vandermonde
+    matrix in x/b, so the monic P_j has squared norm k_j = (R_jj/lambda_j)^2,
+    lambda_j = 2^(j-1)/b^j being the leading coefficient of T_j(x/b).  A
+    measure with too few points gives k_j = 0 and an infinite bound.
+    """
+    n = spec.n
+    scaled = np.sqrt(weights * _weight(spec, points))[:, None] * chebvander(points / spec.b, n)
+    # zero rows keep R square when xi has fewer than n + 1 points
+    R = np.linalg.qr(np.vstack([scaled, np.zeros((n + 1, n + 1))]), mode="r")
+    ks = (np.diag(R) / lam) ** 2
+    bound = max(1.0 / float(ks[j]) if ks[j] > 0.0 else math.inf for j in spec.indices)
+    return R, bound
+
+
+def _monic(R, lam, j: int, floor: float = 1e-12):
+    """Chebyshev coefficients (padded to R's size) of the monic P_j, or None.
+
+    Minimizing |R_j c| over c with c_j = 1/lambda_j gives R_j c = e_j
+    R_jj/lambda_j.  None when the measure is too thin to fix P_j, that is
+    when |R_jj| is at most ``floor`` times the largest |R_ii|, i <= j.
+    """
+    import scipy.linalg
+
+    diag = np.abs(np.diag(R)[: j + 1])
+    if not diag[j] > floor * diag.max():
+        return None
+    rhs = np.zeros(j + 1)
+    rhs[j] = R[j, j] / lam[j]
+    c = np.zeros(len(R))
+    c[: j + 1] = scipy.linalg.solve_triangular(R[: j + 1, : j + 1], rhs)
+    return c
+
+
+def _support_candidates(spec: ProblemSpec, members: dict[int, Polynomial]):
+    """Points where W times a family's sum of squares comes within 1e-4 of its max.
+
+    The optimal dual measure lives on n + 1 points where the optimal
+    family's constraint attains 1; a nearly optimal family has its highest
+    maxima there, and where the constraint is nearly flat a few more.
+    Only points with W > 0 count, highest first; a family missing a member
+    may have fewer than n + 1.
+    """
+    family = list(members.values())
+    weighted = spec.kind == KIND_SECOND
+    xs = critical_points(family, spec.b, weighted)
+    values = sum_squares(family, xs, spec.b, weighted)
+    points: list[float] = []
+    for i in np.argsort(-values):
+        if values[i] < (1.0 - 1e-4) * values.max():
+            break
+        x = xs[i]
+        if _weight(spec, x) > 0.0 and all(abs(x - p) > 1e-9 * spec.b for p in points):
+            points.append(x)
+    return np.array(points)
+
+
+def _closed_form_weights(spec: ProblemSpec, top: Polynomial, x):
+    """Weights on n + 1 points that make the top member orthogonal, or None.
+
+    On n + 1 points the functionals that vanish on polynomials of degree
+    below n are the multiples of the divided difference
+    sum_i p(x_i)/omega'(x_i), so orthogonality of the top member Q_n fixes
+    xi_i as proportional to 1/(W(x_i) Q_n(x_i) omega'(x_i)).  Where the
+    top member is only a sliver of the optimum it is too noisy for this,
+    and the weights change sign.
+    """
+    gaps = (x[:, None] - x[None, :]) / spec.b
+    np.fill_diagonal(gaps, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        weights = 1.0 / (_weight(spec, x) * top(x) * gaps.prod(axis=1))
+    if weights[0] < 0.0:
+        weights = -weights
+    if not (np.all(weights > 0.0) and np.all(np.isfinite(weights))):
+        return None
+    return weights / weights.sum()
+
+
+def _log_norms(spec: ProblemSpec, lam, u, weights):
+    """log k_j(xi) for j in I and their gradients in the weights and in u = x/b.
+
+    Each k_j is a minimum over monic polynomials attained at P_j, so
+    (Danskin) d k_j / d w_i = W(x_i) P_j(x_i)^2 and
+    d k_j / d u_i = w_i (W P_j^2)'(x_i), the derivative taken in u.
+    """
+    b = spec.b
+    x = b * u
+    W = _weight(spec, x)
+    dW = -2.0 * b * x if spec.kind == KIND_SECOND else np.zeros_like(x)
+    R, _ = _orthogonal(spec, lam, x, weights)
+    logs, by_weight, by_point = [], [], []
+    for j in spec.indices:
+        # a step may thin the measure a lot; only a singular one is fatal
+        c = _monic(R, lam, j, floor=0.0)
+        if c is None:
+            raise np.linalg.LinAlgError("singular measure")
+        k = (R[j, j] / lam[j]) ** 2
+        p, dp = chebval(u, c), chebval(u, chebder(c))
+        logs.append(math.log(k))
+        by_weight.append(W * p * p / k)
+        by_point.append(weights * (dW * p * p + 2.0 * W * p * dp) / k)
+    return np.array(logs), np.array(by_weight), np.array(by_point)
+
+
+def _polish(spec: ProblemSpec, lam, points, weights, move_points: bool = True):
+    """Locally minimize max_{j in I} 1/k_j over a measure's points and weights.
+
+    SLSQP on the epigraph: minimize s subject to log k_j + s >= 0 for every
+    j in I, weights summing to 1, points in [-b, b].  Where several indices
+    are active, the maxima of a nearly optimal family misplace the support
+    to first order, and so would the bound; the polish takes that error to
+    second order.  With the points held (``move_points`` false) the
+    problem is convex, as each k_j is concave in the weights.  None when
+    a step makes the measure singular.
     """
     import scipy.optimize
 
-    n = spec.n
+    m, count = len(points), len(spec.indices)
+    cache: dict[bytes, tuple] = {}
+
+    def terms(z):
+        key = z.tobytes()
+        if key not in cache:
+            cache.clear()
+            cache[key] = _log_norms(spec, lam, z[:m], z[m : 2 * m])
+        return cache[key]
+
+    def epigraph(z):
+        return terms(z)[0] + z[-1]
+
+    def epigraph_jac(z):
+        _, by_weight, by_point = terms(z)
+        return np.column_stack([by_point, by_weight, np.ones(count)])
+
+    u = points / spec.b
+    # W vanishes at +-b for the weighted kind, where a point would carry nothing
+    edge = 1.0 - 1e-12 if spec.kind == KIND_SECOND else 1.0
+    try:
+        start = np.concatenate([u, weights, [-_log_norms(spec, lam, u, weights)[0].min()]])
+        res = scipy.optimize.minimize(
+            lambda z: z[-1],
+            start,
+            jac=lambda z: np.append(np.zeros(2 * m), 1.0),
+            method="SLSQP",
+            bounds=[(-edge, edge) if move_points else (v, v) for v in u]
+            + [(1e-12, 1.0)] * m
+            + [(None, None)],
+            constraints=[
+                {"type": "ineq", "fun": epigraph, "jac": epigraph_jac},
+                {
+                    "type": "eq",
+                    "fun": lambda z: z[m : 2 * m].sum() - 1.0,
+                    "jac": lambda z: np.concatenate([np.zeros(m), np.ones(m), [0.0]]),
+                },
+            ],
+            options={"ftol": 1e-16, "maxiter": POLISH_ITERATIONS},
+        )
+    except (np.linalg.LinAlgError, ValueError):
+        return None
+    w = np.maximum(res.x[m : 2 * m], 0.0)
+    if not (np.all(np.isfinite(res.x)) and w.sum() > 0.0):
+        return None
+    return spec.b * np.clip(res.x[:m], -1.0, 1.0), w / w.sum()
+
+
+def oracle_bracket(spec: ProblemSpec) -> OracleBracket:
+    """Bracket the optimum between a feasible family and a dual measure.
+
+    A master LP over finitely many columns, monic polynomials Q_s of one
+    degree j in I each (Chebyshev series in x/b, scaled to max 1 on the
+    rows), and rows, points x_i of [-b, b] that start as the Chebyshev
+    extrema, maximizes sum_s mu_s lc(Q_s)^2 subject to
+    sum_s mu_s W(x_i) Q_s(x_i)^2 <= 1, its objective divided by its largest
+    entry.  Each round
+
+    * prices at the best measure so far and at its even blend with the
+      LP's normalized row prices: one QR gives every k_j and P_j, the
+      bound max_j 1/k_j, and a new column P_j per index (a vertex of the
+      LP's dual alone is often too thin to fix P_n, and stalls);
+    * solves the LP (HiGHS dual simplex) for the mixture weights mu;
+    * truncates each degree's block sum_s mu_s c_s c_s' of the mixture to
+      its top eigenpair and rescales that family by its exact
+      ``sup_sum_squares``: its value is a ``lower`` candidate;
+    * takes the measure on that family's n + 1 highest maxima that makes
+      its top member orthogonal, and polishes it by SLSQP: two more
+      ``upper`` candidates.  If the round stalled (the bracket shrank by
+      less than a tenth), it also optimizes the weights on all of the
+      family's near-top maxima, or on the best measure's points where
+      those are too few, and polishes that measure;
+    * adds as rows the critical points where the LP mixture exceeds 1 and
+      the best measure's points, and drops the columns the LP leaves
+      nonbasic.  Rows stay: dropping the unpriced ones lets a cut that
+      was just left come back, and the LP cycles.
+
+    It stops once (upper - lower) / upper <= ``BRACKET_RTOL``, or after
+    ``MAX_ITERATIONS`` rounds with the bracket as it stands.
+    """
+    import scipy.optimize
+
+    n, b = spec.n, spec.b
     if n > ORACLE_MAX_N:
         raise InvalidInputError(f"oracle is desk-scale only (n <= {ORACLE_MAX_N})")
-    if budget < 1000:
-        raise InvalidInputError(f"budget must be at least 1000, got {budget}")
-    if restarts < 1:
-        raise InvalidInputError(f"need at least one restart, got {restarts}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
-    b = spec.b
     weighted = spec.kind == KIND_SECOND
-    sizes = [j + 1 for j in spec.indices]
-    dim = sum(sizes)
+    lam = np.array([2.0 ** (j - 1) / b**j if j else 1.0 for j in range(n + 1)])
 
-    total_deg = 2 * n + (2 if weighted else 0)
-    npts = 128 * (total_deg + 1)
-    x = b * np.cos(np.linspace(math.pi, 0.0, npts))
-    powers = np.vstack([x**i for i in range(n + 1)])
-    wgrid = (b * b - x * x) if weighted else None
+    rows = b * np.cos(np.linspace(math.pi, 0.0, 4 * n + 5))
+    best = (rows, np.full(len(rows), 1.0 / len(rows)))
+    priced = None  # the LP's normalized row prices as a measure
+    cols = np.zeros((n + 1, 0))
+    degrees = np.zeros(0, dtype=int)
+    lower, upper = 0.0, math.inf
+    family = {j: Polynomial.zero(b) for j in spec.indices}
+    stalls = 0  # consecutive rounds that left the bracket nearly as wide
 
-    evals = 0
+    def consider(measure):
+        nonlocal upper, best
+        R, bound = _orthogonal(spec, lam, *measure)
+        if bound < upper:
+            upper, best = bound, measure
+        return R
 
-    def neg_ratio(c):
-        nonlocal evals
-        evals += 1
-        num = 0.0
-        squares = np.zeros(npts)
-        off = 0
-        for size in sizes:
-            cj = c[off : off + size]
-            off += size
-            num += cj[-1] ** 2
-            vals = cj @ powers[:size]
-            squares += vals * vals
-        if weighted:
-            squares = squares * wgrid
-        den = squares.max()
-        if den <= 0.0 or not np.isfinite(den):
-            return 0.0
-        return -num / den
+    def refine(points, weights):
+        consider((points, weights))
+        if upper - lower > BRACKET_RTOL * upper:
+            polished = _polish(spec, lam, points, weights)
+            if polished is not None:
+                consider(polished)
 
-    # deterministic start points, one block per prescribed degree, scaled
-    # to the coefficient magnitudes typical of feasible families
-    rng = np.random.default_rng(seed)
-    starts = rng.standard_normal((restarts, dim))
-    off = 0
-    for j, size in zip(spec.indices, sizes):
-        starts[:, off : off + size] *= b ** (-j)
-        off += size
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        gap = upper - lower
+        measures = [best]
+        if priced is not None:
+            measures.append(
+                (np.concatenate([best[0], priced[0]]), 0.5 * np.concatenate([best[1], priced[1]]))
+            )
+        for measure in measures:
+            R = consider(measure)
+            for j in spec.indices:
+                c = _monic(R, lam, j)
+                if c is not None:
+                    cols = np.column_stack([cols, c])
+                    degrees = np.append(degrees, j)
 
-    best_fun = 0.0
-    best_c = starts[0].copy()
-    per_run = max(200, int(0.5 * budget) // restarts)
-    for idx in range(restarts):
-        remaining = budget - evals
-        if remaining < dim + 2:
+        table = _weight(spec, rows)[:, None] * (chebvander(rows / b, n) @ cols) ** 2
+        peak = table.max(axis=0)
+        usable = np.isfinite(peak) & (peak > 0.0)
+        if not usable.any():
             break
-        res = scipy.optimize.minimize(
-            neg_ratio,
-            starts[idx],
-            method="Nelder-Mead",
-            options={
-                "maxfev": min(per_run, remaining),
-                "xatol": 1e-10,
-                "fatol": 1e-12,
-                "adaptive": True,
-            },
+        cols, degrees = cols[:, usable] / np.sqrt(peak[usable]), degrees[usable]
+        table = table[:, usable] / peak[usable]
+        gains = (cols[degrees, np.arange(len(degrees))] * lam[degrees]) ** 2
+        res = scipy.optimize.linprog(
+            -gains / gains.max(), A_ub=table, b_ub=np.ones(len(rows)), method="highs-ds"
         )
-        if res.fun < best_fun:
-            best_fun, best_c = res.fun, np.asarray(res.x, dtype=float)
-
-    # polish in rounds: a fresh simplex around the (normalized) incumbent
-    # breaks the stagnation Nelder-Mead is prone to at higher dimensions
-    for _ in range(5):
-        remaining = budget - evals
-        if remaining < dim + 2:
+        if res.status != 0:
             break
-        norm = np.linalg.norm(best_c)
-        c0 = best_c / norm if norm > 0 else best_c
-        res = scipy.optimize.minimize(
-            neg_ratio,
-            c0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": min(remaining, int(0.1 * budget) + 1),
-                "xatol": 1e-12,
-                "fatol": 1e-14,
-                "adaptive": True,
-            },
-        )
-        if res.fun < best_fun:
-            best_fun, best_c = res.fun, np.asarray(res.x, dtype=float)
+        mu = res.x
 
-    # rescale the winner by the rigorous sup so the family is feasible
-    family: dict[int, Polynomial] = {}
-    off = 0
-    num = 0.0
-    for j, size in zip(spec.indices, sizes):
-        cj = best_c[off : off + size]
-        off += size
-        num += cj[-1] ** 2
-        family[j] = Polynomial(tuple(poly2cheb(cj * b ** np.arange(size))), b)
-    sup = sup_sum_squares(list(family.values()), b, weighted=weighted).sup
-    if sup <= 0.0:
-        return OracleResult(0.0, {j: Polynomial.zero(b) for j in spec.indices}, evals, seed)
-    scale = 1.0 / math.sqrt(sup)
-    rescaled = {j: scale * p for j, p in family.items()}
-    return OracleResult(
-        best_value=float(num / sup),
-        best_coeffs=rescaled,
-        evaluations=evals,
-        seed=seed,
-    )
+        members = {}
+        for j in spec.indices:
+            block = cols[: j + 1, degrees == j]
+            w, v = np.linalg.eigh((block * mu[degrees == j]) @ block.T)
+            top = math.sqrt(max(w[-1], 0.0)) * v[:, -1]
+            members[j] = Polynomial(tuple(top if top[j] >= 0.0 else -top), b)
+        sup = sup_sum_squares(list(members.values()), b, weighted=weighted).sup
+        if sup > 0.0:
+            scaled = {j: p * (1.0 / math.sqrt(sup)) for j, p in members.items()}
+            value = sum(p.leading**2 for p in scaled.values())
+            if value > lower:
+                lower, family = value, scaled
+
+        points = _support_candidates(spec, members)
+        if len(points) > n and not members[n].is_zero:
+            highest = np.sort(points[: n + 1])
+            weights = _closed_form_weights(spec, members[n], highest)
+            if weights is not None:
+                refine(highest, weights)
+        stalls = stalls + 1 if upper - lower > max(STALL * gap, BRACKET_RTOL * upper) else 0
+        if stalls == STALL_ROUNDS:
+            # the top member is too noisy, or a member below the tolerance
+            # left too few maxima, and the best measure stands in: optimize
+            # the weights on those points first, a convex problem.  Once per
+            # stall, as a second try from the same state ends the same way
+            if len(points) > n:
+                start = (np.sort(points), np.full(len(points), 1.0 / len(points)))
+            else:
+                start = best
+            held = _polish(spec, lam, *start, move_points=False)
+            if held is not None:
+                live = held[1] > 1e-11  # above the floor of the weight bounds
+                refine(held[0][live], held[1][live] / held[1][live].sum())
+        if upper - lower <= BRACKET_RTOL * upper:
+            break
+
+        w, v = np.linalg.eigh((cols * mu) @ cols.T)
+        mixture = [Polynomial(tuple(math.sqrt(wk) * v[:, k]), b) for k, wk in enumerate(w) if wk > 0.0]
+        fresh = list(best[0])
+        if mixture:
+            xs = critical_points(mixture, b, weighted)
+            fresh += list(xs[sum_squares(mixture, xs, b, weighted) > 1.0])
+        prices = np.maximum(-res.ineqlin.marginals, 0.0)
+        if prices.sum() > 0.0:
+            priced = (rows[prices > 0.0], prices[prices > 0.0] / prices.sum())
+        for x in fresh:
+            if np.abs(rows - x).min() > 1e-13 * b:
+                rows = np.append(rows, x)
+        # a nonbasic column carries a positive reduced cost
+        keep = (mu > 0.0) | (res.lower.marginals <= 1e-9)
+        cols, degrees = cols[:, keep], degrees[keep]
+    return OracleBracket(lower=lower, upper=upper, family=family, iterations=iteration)
 
 
 def duality_certificate(sol: ExtremalSolution, spec: ProblemSpec) -> CertificateReport:

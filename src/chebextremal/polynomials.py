@@ -11,7 +11,8 @@ every degree up to the cap.  The cap, 31, is the largest dual degree
 The sup of a (weighted) sum of squares over [-b, b] is exact up to
 rounding: the sum is formed as a Chebyshev series in x/b, the roots of
 its derivative are found as colleague-matrix eigenvalues, and the family
-is evaluated at those critical points and at the endpoints.
+is evaluated at those critical points and at the endpoints, all members
+in one Clenshaw pass over their stacked coefficients.
 """
 
 from __future__ import annotations
@@ -93,15 +94,32 @@ class SupNormReport:
     argmax: float
 
 
-def sup_sum_squares(polys, b: float, weighted: bool = False) -> SupNormReport:
-    """Maximize sum(P_j(x)^2), optionally times (b^2 - x^2), over [-b, b].
+def sum_squares(polys, x, b: float, weighted: bool = False) -> np.ndarray:
+    """sum_j P_j(x)^2 at the points x, times (b^2 - x^2) when ``weighted``.
+
+    All members are evaluated in one Clenshaw pass over their coefficients
+    stacked column by column into a zero-padded matrix.  The recurrence
+    passes leading zeros through exactly, so each member's values are the
+    same doubles as its own call gives, and the squares are summed in
+    member order.
+    """
+    polys = list(polys)
+    stacked = np.zeros((max([1] + [len(p.coeffs) for p in polys]), len(polys)))
+    for col, p in enumerate(polys):
+        stacked[: len(p.coeffs), col] = p.coeffs
+    values = sum(row**2 for row in cheb.chebval(x / b, stacked))
+    if weighted:
+        values = values * (b * b - x * x)
+    return values
+
+
+def critical_points(polys, b: float, weighted: bool = False) -> np.ndarray:
+    """Endpoints of [-b, b] and the critical points of the (weighted) sum of squares.
 
     The squared sum g is formed from the members' own Chebyshev series in
-    x/b (weight included) and its maximum is taken over the endpoints and the real
-    parts of every root of g', clipped to [-b, b].  Complex roots are not
-    discarded: where g is nearly flat, rounding moves real critical points
-    off the axis.  Candidates are evaluated with
-    ``Polynomial.__call__``, so ``sup`` is the family's value at ``argmax``.
+    x/b (weight included); the critical points are the real parts of every
+    root of g', clipped to [-b, b].  Complex roots are not discarded: where
+    g is nearly flat, rounding moves real critical points off the axis.
 
     Parameters
     ----------
@@ -111,7 +129,7 @@ def sup_sum_squares(polys, b: float, weighted: bool = False) -> SupNormReport:
     b : float
         Interval half-width, in (0, 10].
     weighted : bool
-        When set, maximize (b^2 - x^2) * sum(P_j^2) instead.
+        When set, take g = (b^2 - x^2) * sum(P_j^2) instead.
     """
     polys = list(polys)
     if not polys:
@@ -136,10 +154,18 @@ def sup_sum_squares(polys, b: float, weighted: bool = False) -> SupNormReport:
     dg = cheb.chebder(g)
     dg = cheb.chebtrim(dg, np.finfo(float).eps * np.abs(dg).max())
     critical = np.clip(b * cheb.chebroots(dg).real, -b, b)
+    return np.concatenate(([-b, b], critical))
 
-    xs = np.concatenate(([-b, b], critical))
-    values = sum(p(xs) ** 2 for p in polys)
-    if weighted:
-        values = values * (b * b - xs * xs)
+
+def sup_sum_squares(polys, b: float, weighted: bool = False) -> SupNormReport:
+    """Maximize sum(P_j(x)^2), optionally times (b^2 - x^2), over [-b, b].
+
+    The maximum is taken over ``critical_points`` (which validates the
+    arguments), where the family is evaluated by ``sum_squares``, so
+    ``sup`` is the family's value at ``argmax``.
+    """
+    polys = list(polys)
+    xs = critical_points(polys, b, weighted)
+    values = sum_squares(polys, xs, b, weighted)
     i_best = int(np.argmax(values))
     return SupNormReport(sup=float(values[i_best]), argmax=float(xs[i_best]))

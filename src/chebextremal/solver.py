@@ -40,7 +40,13 @@ from .canonical import (
     weighted_recurrence,
 )
 from .errors import InvalidInputError
-from .polynomials import MAX_DEGREE, Polynomial, SupNormReport, sup_sum_squares
+from .polynomials import (
+    MAX_DEGREE,
+    Polynomial,
+    SupNormReport,
+    sum_squares,
+    sup_sum_squares,
+)
 
 KIND_FIRST = "first"
 KIND_SECOND = "second"
@@ -310,9 +316,7 @@ def verify_solution(sol: ExtremalSolution, spec: ProblemSpec) -> VerificationRep
     duality_residual = abs(sol.objective * k_top - 1.0)
 
     x = np.asarray(support_measure(sol.dual_moments).points)
-    g = sum(p(x) ** 2 for p in family)
-    if weighted:
-        g = g * (b * b - x * x)
+    g = sum_squares(family, x, b, weighted)
     attain = float(np.max(np.abs(g - 1.0)))
 
     checks = {

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,19 @@ class TestSweepCommand:
         assert [r[3] for r in rows] == ["9", "0"]
         assert [int(r[1]) for r in rows] == [1, 1]
 
+    @pytest.mark.parametrize("b_max", ["20", "inf"])
+    def test_out_of_range_endpoint_is_named(self, capsys, b_max):
+        # the endpoint itself is rejected, not a grid point, and before any
+        # grid is formed, so no numpy warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sweep", "--indices", "1,2", "--b-min", "1",
+                                     "--b-max", b_max, "--steps", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert f"got {float(b_max)!r}" in err
+
     def test_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--kind", "first", "--indices", "1,2",
                                "--b-min", "2", "--b-max", "1", "--steps", "5")
@@ -185,39 +199,53 @@ class TestSweepCommand:
 class TestOracleCommand:
     def test_linear_gap(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--kind", "first", "--indices", "1",
-                               "--b", "2", "--budget", "20000", "--seed", "3")
+                               "--b", "2")
         assert code == 0
         doc = json.loads(out)
         assert doc["gap"] <= 1e-6
         assert doc["pass"] is True
 
     def test_determinism(self, capsys):
-        args = ["oracle", "--kind", "first", "--indices", "2,3", "--b", "1.3",
-                "--budget", "15000", "--seed", "1"]
+        args = ["oracle", "--kind", "first", "--indices", "2,3", "--b", "1.3"]
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
     def test_oversized_index_rejected(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--kind", "first", "--indices", "6",
-                               "--b", "1", "--budget", "5000", "--seed", "0")
+                               "--b", "1")
         assert code == 1
         assert "error" in err
 
     def test_gapped_set_cross_check(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--kind", "first", "--indices", "2,4",
-                               "--b", "1.5", "--budget", "120000", "--seed", "7")
+                               "--b", "1.5")
         doc = json.loads(out)
         assert code == 0
         assert doc["gap"] <= 1e-3 * max(1.0, doc["solver_objective"])
 
+    def test_record_brackets_the_objective(self, capsys):
+        # the spec the CI runs from an installed package
+        code, out, _ = run_cli(capsys, "oracle", "--kind", "first", "--indices", "3,4,5",
+                               "--b", "2.0")
+        assert code == 0
+        doc = json.loads(out)
+        objective = doc["solver_objective"]
+        assert doc["oracle_value"] <= objective * (1.0 + 1e-10)
+        assert objective <= doc["oracle_upper"] * (1.0 + 1e-10)
+        assert doc["oracle_upper"] - doc["oracle_value"] <= 1e-6 * doc["oracle_upper"]
+        assert doc["gap"] == max(objective - doc["oracle_value"],
+                                 doc["oracle_upper"] - objective)
+        assert doc["iterations"] >= 1
+        assert "seed" not in doc and "evaluations" not in doc
 
-    def test_negative_seed_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "oracle", "--kind", "first", "--indices", "1",
-                                 "--b", "1", "--seed", "-1")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and "seed" in err
+    def test_search_options_are_gone(self, capsys):
+        for flag in ("--budget", "--seed"):
+            code, out, err = run_cli(capsys, "oracle", "--indices", "1", "--b", "1",
+                                     flag, "5")
+            assert code == 1
+            assert out == ""
+            assert "unrecognized arguments" in err
 
 
 class TestArgumentErrors:
@@ -243,19 +271,20 @@ _NUMPY_ONLY_SCRIPT = textwrap.dedent(
     ]
     scipy_loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-    from chebextremal import ProblemSpec, brute_force_max, duality_certificate, solve
+    from chebextremal import ProblemSpec, duality_certificate, oracle_bracket, solve
 
     spec = ProblemSpec("first", (1, 2), 2.0)
     sol = solve(spec)
     cert = duality_certificate(sol, spec)
-    oracle = brute_force_max(spec, budget=1000, seed=0)
+    bracket = oracle_bracket(spec)
     print(json.dumps({
         "codes": codes,
         "scipy_loaded": scipy_loaded,
         "certificate_ok": cert.ok,
         "certificate_max_residual": max(cert.residuals()),
         "objective": sol.objective,
-        "oracle_value": oracle.best_value,
+        "oracle_value": bracket.lower,
+        "oracle_upper": bracket.upper,
     }))
     """
 )
@@ -277,3 +306,4 @@ class TestStartup:
         assert record["certificate_max_residual"] <= 1e-8
         objective = record["objective"]
         assert 0.9 * objective <= record["oracle_value"] <= objective * (1.0 + 1e-9)
+        assert objective <= record["oracle_upper"] * (1.0 + 1e-9)

@@ -1,4 +1,4 @@
-"""Tests for the brute-force oracle and the duality certificate."""
+"""Tests for the oracle bracket and the duality certificate."""
 
 import math
 
@@ -12,73 +12,100 @@ from chebextremal import (
     InvalidInputError,
     Polynomial,
     ProblemSpec,
-    brute_force_max,
     duality_certificate,
+    oracle_bracket,
     solve,
     sup_sum_squares,
 )
+from chebextremal.oracle import ORACLE_MAX_N
 
 
 class TestBruteForce:
+    """The oracle bracket: a feasible family below, a dual measure above."""
+
     def test_linear_singleton(self):
         spec = ProblemSpec("first", (1,), 2.0)
-        result = brute_force_max(spec, budget=20000, seed=0)
-        assert result.best_value == pytest.approx(0.25, abs=1e-6)
+        result = oracle_bracket(spec)
+        assert result.lower == pytest.approx(0.25, abs=1e-6)
+        assert result.upper == pytest.approx(0.25, abs=1e-6)
 
     def test_full_set_wide(self):
         spec = ProblemSpec("first", (1, 2, 3), 2.0)
-        result = brute_force_max(spec, budget=200000, seed=0)
-        assert result.best_value == pytest.approx(0.375, abs=1e-3)
+        result = oracle_bracket(spec)
+        assert result.lower == pytest.approx(0.375, abs=1e-3)
 
     def test_pair_narrow(self):
         spec = ProblemSpec("first", (2, 3), 1.0)
-        result = brute_force_max(spec, budget=120000, seed=0)
-        assert result.best_value == pytest.approx(16.0, abs=1e-2)
-
-    def test_seed_determinism(self):
-        spec = ProblemSpec("first", (1, 2), 1.3)
-        a = brute_force_max(spec, budget=20000, seed=11)
-        b = brute_force_max(spec, budget=20000, seed=11)
-        assert a == b
-
-    def test_different_seeds_still_close(self):
-        spec = ProblemSpec("first", (1, 2), 1.3)
-        sol = solve(spec)
-        for seed in (1, 2):
-            result = brute_force_max(spec, budget=60000, seed=seed)
-            assert abs(result.best_value - sol.objective) <= 1e-3 * max(1.0, sol.objective)
+        result = oracle_bracket(spec)
+        assert result.lower == pytest.approx(16.0, abs=1e-2)
 
     def test_never_exceeds_solver(self):
         for idx, b in [((1, 2), 1.0), ((2, 3), 2.0), ((1, 3), 1.5)]:
             spec = ProblemSpec("first", idx, b)
             sol = solve(spec)
-            result = brute_force_max(spec, budget=30000, seed=5)
-            assert result.best_value <= sol.objective + 1e-6
+            result = oracle_bracket(spec)
+            assert result.lower <= sol.objective + 1e-6
+            assert sol.objective <= result.upper + 1e-6
 
     def test_reported_family_is_feasible_and_consistent(self):
         spec = ProblemSpec("first", (1, 2), 1.8)
-        result = brute_force_max(spec, budget=30000, seed=9)
-        family = list(result.best_coeffs.values())
+        result = oracle_bracket(spec)
+        family = list(result.family.values())
         sup = sup_sum_squares(family, spec.b).sup
         assert sup <= 1.0 + 1e-9
-        total = sum(p.leading**2 for p in result.best_coeffs.values())
-        assert total == pytest.approx(result.best_value, abs=1e-9)
+        total = sum(p.leading**2 for p in result.family.values())
+        assert total == pytest.approx(result.lower, abs=1e-9)
 
     def test_weighted_kind(self):
         spec = ProblemSpec("second", (0, 1), 2.0)
         sol = solve(spec)
-        result = brute_force_max(spec, budget=60000, seed=0)
-        assert abs(result.best_value - sol.objective) <= 1e-3
+        result = oracle_bracket(spec)
+        assert abs(result.lower - sol.objective) <= 1e-3
+        assert abs(result.upper - sol.objective) <= 1e-3
 
     def test_scale_limits(self):
         with pytest.raises(InvalidInputError):
-            brute_force_max(ProblemSpec("first", (6,), 1.0), budget=10000, seed=0)
-        with pytest.raises(InvalidInputError):
-            brute_force_max(ProblemSpec("first", (1,), 1.0), budget=10, seed=0)
+            oracle_bracket(ProblemSpec("first", (6,), 1.0))
 
-    def test_negative_seed_rejected(self):
-        with pytest.raises(InvalidInputError, match="seed"):
-            brute_force_max(ProblemSpec("first", (1,), 1.0), budget=10000, seed=-1)
+    def test_bounds_are_python_floats(self):
+        # the CLI writes them, and its pass flag compared from them, as JSON;
+        # a numpy bool there is not serializable
+        result = oracle_bracket(ProblemSpec("second", (1, 2), 2.4473412364436427))
+        assert type(result.lower) is float and type(result.upper) is float
+
+    def test_deterministic(self):
+        spec = ProblemSpec("first", (1, 2), 1.3)
+        assert oracle_bracket(spec) == oracle_bracket(spec)
+
+
+@st.composite
+def _oracle_specs(draw):
+    b = min(10.0, math.exp(draw(st.floats(math.log(0.05), math.log(10.0)))))
+    kind = draw(st.sampled_from(["first", "second"]))
+    low = 1 if kind == "first" else 0
+    n = draw(st.integers(low, ORACLE_MAX_N))
+    below = draw(st.sets(st.integers(low, n - 1))) if n > low else set()
+    return ProblemSpec(kind, below | {n}, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_oracle_specs())
+@example(spec=ProblemSpec("first", (3, 4, 5), 2.0))
+@example(spec=ProblemSpec("second", tuple(range(6)), 0.7103))
+@example(spec=ProblemSpec("second", (0, 5), 0.0548))
+@example(spec=ProblemSpec("first", (5,), 0.1931))
+def test_bracket_holds(spec):
+    """The solver objective lies in a bracket at most 1e-6 wide whose lower
+    end is the value of a feasible family."""
+    objective = solve(spec).objective
+    result = oracle_bracket(spec)
+    assert result.lower <= objective * (1.0 + 1e-10)
+    assert objective <= result.upper * (1.0 + 1e-10)
+    assert result.upper - result.lower <= 1e-6 * result.upper
+    family = list(result.family.values())
+    weighted = spec.kind == "second"
+    assert sup_sum_squares(family, spec.b, weighted=weighted).sup <= 1.0 + 1e-9
+    assert sum(p.leading**2 for p in family) == pytest.approx(result.lower, rel=1e-12)
 
 
 class TestDualityCertificate:

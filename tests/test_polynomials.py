@@ -13,6 +13,7 @@ from chebextremal import (
     Polynomial,
     sup_sum_squares,
 )
+from chebextremal.polynomials import sum_squares
 from closed_forms import (
     Monomial,
     chebyshev_t,
@@ -231,3 +232,17 @@ def test_sup_dominates_dense_grid(family, b, weighted):
     grid_max = float(np.max(_family_value(polys, grid, b, weighted)))
     # below the normal range doubles carry no relative precision at all
     assert report.sup >= grid_max - 1e-12 * abs(grid_max) - np.finfo(float).tiny
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.lists(st.lists(_coeff, min_size=0, max_size=9), min_size=1, max_size=4),
+    b=st.floats(0.0, 10.0, exclude_min=True),
+    weighted=st.booleans(),
+)
+def test_stacked_evaluation_is_bitwise_per_member(family, b, weighted):
+    """One Clenshaw pass over the zero-padded stacked coefficients gives the
+    same doubles as evaluating and squaring member by member."""
+    polys = [Polynomial(tuple(cs), b) for cs in family]
+    x = np.linspace(-b, b, 41)
+    assert np.array_equal(sum_squares(polys, x, b, weighted), _family_value(polys, x, b, weighted))
