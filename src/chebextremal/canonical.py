@@ -16,6 +16,7 @@ modify the measure by the weight b^2 - x^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
@@ -177,6 +178,7 @@ def jacobi_coefficients(cm: CanonicalMomentSeq, size: int):
     return diag, squares
 
 
+@lru_cache(maxsize=8)
 def support_measure(cm: CanonicalMomentSeq) -> DiscreteMeasure:
     """Support points and weights of a terminating canonical moment sequence.
 
@@ -186,6 +188,11 @@ def support_measure(cm: CanonicalMomentSeq) -> DiscreteMeasure:
     tridiagonal Jacobi matrix (at most 31 rows, so numpy's dense ``eigh``
     of it costs no more than a tridiagonal solver), weights the squared
     first components of its unit eigenvectors.
+
+    The result is memoized on ``cm`` (frozen, hashable, compared by value)
+    for the last few sequences, so checking one solution twice, as
+    ``verify_solution`` and ``duality_certificate`` do, runs ``eigh`` once.
+    Sharing it is safe: a ``DiscreteMeasure`` holds tuples.
     """
     if not cm.terminating:
         raise InvalidInputError("support recovery needs a terminating sequence")

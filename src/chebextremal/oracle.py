@@ -20,7 +20,8 @@ sum_j trace(M_j N_j) = 1, the rank-one structure equation per index, and
 the min-equality tying the weights to the indices of minimal norm.
 
 Only these two checks use scipy (``scipy.optimize`` for the LP and the
-polish of the bracket, ``scipy.linalg.solve_triangular`` for both), and
+polish of the bracket, ``scipy.linalg.solve_triangular`` in the bracket and
+``scipy.linalg.lapack.dtrtrs`` in the certificate), and
 each imports it on its first call, so importing this module, and with it
 the solver and the CLI ``solve`` path, loads numpy alone.
 """
@@ -432,7 +433,7 @@ def duality_certificate(sol: ExtremalSolution, spec: ProblemSpec) -> Certificate
     each equality keeps its meaning once k_j is scaled by lambda_j^2; the
     cross-index min-equality undoes that scaling.
     """
-    import scipy.linalg
+    from scipy.linalg.lapack import dtrtrs
 
     if not sol.dual_moments.terminating:
         raise InvalidInputError("certificate needs a terminating dual sequence")
@@ -465,21 +466,38 @@ def duality_certificate(sol: ExtremalSolution, spec: ProblemSpec) -> Certificate
         # M_j^{-1} e_j: R_j' y = e_j is lower triangular, so y = e_j / R_jj
         e = np.zeros(j + 1)
         e[j] = 1.0
-        minv_e = scipy.linalg.solve_triangular(Rj, e / Rj[j, j])
+        y = e / Rj[j, j]
+        # R_j x = y, called as scipy.linalg.solve_triangular calls LAPACK for
+        # a C-ordered block (its transpose, solved transposed): the same bits
+        # without its argument checks, up to 31 times per certificate.  The
+        # one kept is on y, which is not finite when R_jj is 0, subnormal or nan.
+        if not math.isfinite(y[j]):
+            raise ValueError("array must not contain infs or NaNs")
+        minv_e, info = dtrtrs(Rj.T, y, lower=1, trans=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"singular matrix: resolution failed at diagonal {info - 1}"
+            )
         inv_entry = minv_e[j]
         report.norm_identity_residuals[j] = float(abs(inv_entry * k - 1.0))
 
         a = math.sqrt(k) * minv_e
-        N = sol.alphas[j] * np.outer(a, a)
-        lhs = Rj.T @ (Rj @ N)
-        rhs = np.outer(e, N[j]) / inv_entry
-        trace_total += np.trace(lhs)
-        scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
-        report.structure_residuals[j] = float(np.linalg.norm(lhs - rhs) / scale)
-        # the min-equality compares across indices, so restore the original
-        # variable: e_j' N_j e_j and 1/(e_j' M_j^{-1} e_j) pick up lambda_j^2
-        weight_total += N[j, j] * lam * lam
-        weighted_sum += N[j, j] / inv_entry
+        if sol.alphas[j] == 0.0 and math.isfinite(a @ a):
+            # N_j = 0 * a a' is exactly 0 (a a' finite, so no 0 * inf = nan):
+            # both sides of the structure equation vanish and every sum below
+            # would gain +0.0
+            report.structure_residuals[j] = 0.0
+        else:
+            N = sol.alphas[j] * np.outer(a, a)
+            lhs = Rj.T @ (Rj @ N)
+            rhs = np.outer(e, N[j]) / inv_entry
+            trace_total += np.trace(lhs)
+            scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
+            report.structure_residuals[j] = float(np.linalg.norm(lhs - rhs) / scale)
+            # the min-equality compares across indices, so restore the original
+            # variable: e_j' N_j e_j and 1/(e_j' M_j^{-1} e_j) pick up lambda_j^2
+            weight_total += N[j, j] * lam * lam
+            weighted_sum += N[j, j] / inv_entry
         kmin = min(kmin, 1.0 / inv_entry / lam / lam)
     report.trace_residual = float(abs(trace_total - 1.0))
     report.min_equality_residuals = (

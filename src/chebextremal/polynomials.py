@@ -145,9 +145,12 @@ def critical_points(polys, b: float, weighted: bool = False) -> np.ndarray:
             f"polynomial degree {maxdeg} exceeds the cap {MAX_DEGREE}"
         )
 
-    g = np.zeros(1)
+    # zeros at the top of g (a square whose top coefficient underflows) are
+    # trimmed off g' below
+    g = np.zeros(2 * maxdeg + 1)
     for p in live:
-        g = cheb.chebadd(g, cheb.chebmul(p.coeffs, p.coeffs))
+        square = cheb.chebmul(p.coeffs, p.coeffs)
+        g[: len(square)] += square
     if weighted:
         g = cheb.chebmul(g, [0.5 * b * b, 0.0, -0.5 * b * b])
     # trailing terms below rounding of g' would blow up the colleague matrix

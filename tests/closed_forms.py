@@ -14,6 +14,9 @@ The phase index has two oracles here: ``threshold_index`` finds it for
 full sets by signs of Chebyshev U values, and ``reference_phase_index``
 for any set from a 60-digit run of the dual recurrence.  ``solve`` reads
 it off its own dual weights instead.
+
+``critical_points_by_chebadd`` is the reference for the library's
+``critical_points``: it builds the squared sum one ``chebadd`` per member.
 """
 
 from __future__ import annotations
@@ -132,6 +135,24 @@ def to_library(q: Monomial, b: float) -> Polynomial:
 def stretched(q: Monomial, s: float) -> Monomial:
     """x -> q(x/s)."""
     return Monomial(q.coef / s ** np.arange(len(q.coef)))
+
+
+def critical_points_by_chebadd(polys, b: float, weighted: bool = False) -> np.ndarray:
+    """``critical_points`` of valid arguments, summing squares with ``chebadd``.
+
+    ``chebadd`` trims the trailing zeros of every partial sum, so the sum
+    here is never longer than its last nonzero coefficient.
+    """
+    g = np.zeros(1)
+    for p in polys:
+        if not p.is_zero:
+            g = cheb.chebadd(g, cheb.chebmul(p.coeffs, p.coeffs))
+    if weighted:
+        g = cheb.chebmul(g, [0.5 * b * b, 0.0, -0.5 * b * b])
+    dg = cheb.chebder(g)
+    dg = cheb.chebtrim(dg, np.finfo(float).eps * np.abs(dg).max())
+    critical = np.clip(b * cheb.chebroots(dg).real, -b, b)
+    return np.concatenate(([-b, b], critical))
 
 
 def chebyshev_t(n: int) -> Monomial:

@@ -1,5 +1,6 @@
 """Tests for the oracle bracket and the duality certificate."""
 
+import dataclasses
 import math
 
 import pytest
@@ -16,6 +17,8 @@ from chebextremal import (
     oracle_bracket,
     solve,
     sup_sum_squares,
+    support_measure,
+    verify_solution,
 )
 from chebextremal.oracle import ORACLE_MAX_N
 
@@ -161,6 +164,30 @@ class TestDualityCertificate:
         assert not cert.ok
         assert cert.failed_index == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        [ProblemSpec("first", range(1, 7), 1.4), ProblemSpec("second", range(0, 5), 1.2)],
+        ids=str,
+    )
+    def test_weight_on_a_zero_weight_degree_fails(self, spec):
+        """Degrees of zero dual weight skip the rank-one algebra; moving the
+        weight onto one must still fail the min-equality."""
+        sol = solve(spec)
+        assert sol.phase_index > 1
+        zero = [j for j in spec.indices if sol.alphas[j] == 0.0]
+        assert zero
+        cert = duality_certificate(sol, spec)
+        assert all(cert.structure_residuals[j] == 0.0 for j in zero)
+        assert max(cert.residuals()) <= 1e-9
+
+        top = max(spec.indices, key=sol.alphas.__getitem__)
+        alphas = dict(sol.alphas)
+        alphas[zero[0]], alphas[top] = alphas[top], 0.0
+        doctored = duality_certificate(dataclasses.replace(sol, alphas=alphas), spec)
+        assert doctored.ok
+        assert doctored.structure_residuals[top] == 0.0
+        assert doctored.min_equality_residuals[0] > 0.5
+
     def test_non_terminating_rejected(self):
         sol = solve(ProblemSpec("first", (2,), 1.0))
         bad = ExtremalSolution(
@@ -198,3 +225,37 @@ def test_certificate_holds(spec):
     assert max(cert.structure_residuals.values()) <= 1e-8
     assert max(cert.min_equality_residuals) <= 1e-8
     assert max(cert.norm_identity_residuals.values()) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ProblemSpec("first", (1, 2, 3), 2.0),
+        ProblemSpec("first", (3, 7, 12), 5.0),
+        ProblemSpec("second", range(0, 11), 1.2),
+        ProblemSpec("second", (4, 5), 2.5),
+    ],
+    ids=str,
+)
+def test_reports_do_not_depend_on_the_support_memo(spec):
+    """``verify_solution`` and ``duality_certificate`` share one memoized
+    support measure; neither the call order nor a cleared memo changes them."""
+    sol = solve(spec)
+    support_measure.cache_clear()
+    cert_first = repr(duality_certificate(sol, spec)), repr(verify_solution(sol, spec))
+    support_measure.cache_clear()
+    report = repr(verify_solution(sol, spec))
+    verify_first = repr(duality_certificate(sol, spec)), report
+    support_measure.cache_clear()
+    certificate = repr(duality_certificate(sol, spec))
+    support_measure.cache_clear()
+    cleared = certificate, repr(verify_solution(sol, spec))
+    assert cert_first == verify_first == cleared
+
+    twin = CanonicalMomentSeq(b=sol.dual_moments.b, p=list(sol.dual_moments.p))
+    assert twin is not sol.dual_moments
+    support_measure.cache_clear()
+    fresh = support_measure(twin)
+    assert support_measure(sol.dual_moments) == fresh
+    support_measure.cache_clear()
+    assert support_measure(sol.dual_moments) == fresh

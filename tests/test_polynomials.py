@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chebextremal import (
@@ -13,12 +13,13 @@ from chebextremal import (
     Polynomial,
     sup_sum_squares,
 )
-from chebextremal.polynomials import sum_squares
+from chebextremal.polynomials import critical_points, sum_squares
 from closed_forms import (
     Monomial,
     chebyshev_t,
     chebyshev_u,
     chebyshev_u_value,
+    critical_points_by_chebadd,
     monomial,
     stretched,
     to_library,
@@ -246,3 +247,31 @@ def test_stacked_evaluation_is_bitwise_per_member(family, b, weighted):
     polys = [Polynomial(tuple(cs), b) for cs in family]
     x = np.linspace(-b, b, 41)
     assert np.array_equal(sum_squares(polys, x, b, weighted), _family_value(polys, x, b, weighted))
+
+
+#: a top coefficient whose square underflows to 0.0
+_UNDERFLOWING = 1e-170
+
+_member = st.one_of(
+    st.lists(_coeff, min_size=0, max_size=9),
+    st.lists(_coeff, min_size=0, max_size=8).map(lambda cs: cs + [_UNDERFLOWING]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.lists(_member, min_size=1, max_size=4),
+    b=st.floats(0.0, 10.0, exclude_min=True),
+    weighted=st.booleans(),
+)
+@example(family=[[], [0.0, 0.0]], b=1.0, weighted=False)
+@example(family=[[0.6], [], [-0.8]], b=1.5, weighted=True)
+@example(family=[[0.3, -0.2, _UNDERFLOWING], [0.5]], b=2.0, weighted=False)
+@example(family=[[0.1, 0.4, -0.3, _UNDERFLOWING], [0.2, 0.7]], b=3.0, weighted=True)
+def test_squared_sum_in_one_array_matches_chebadd(family, b, weighted):
+    """Summing the squares into one zero-padded array gives the same critical
+    points as a chebadd per member, which trims trailing zeros as it goes."""
+    polys = [Polynomial(tuple(cs), b) for cs in family]
+    assert np.array_equal(
+        critical_points(polys, b, weighted), critical_points_by_chebadd(polys, b, weighted)
+    )
