@@ -18,7 +18,7 @@ from .canonical import (
     support_measure,
     zetas,
 )
-from .errors import DegreeLimitError, InsufficientDataError, InvalidInputError
+from .errors import InsufficientDataError, InvalidInputError
 from .oracle import (
     CertificateReport,
     OracleBracket,
@@ -42,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalMomentSeq",
     "CertificateReport",
-    "DegreeLimitError",
     "DiscreteMeasure",
     "ExtremalSolution",
     "InsufficientDataError",

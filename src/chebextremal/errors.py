@@ -5,9 +5,5 @@ class InvalidInputError(ValueError):
     """Raised when arguments violate a documented precondition."""
 
 
-class DegreeLimitError(InvalidInputError):
-    """Raised when a requested polynomial degree exceeds the supported cap."""
-
-
 class InsufficientDataError(InvalidInputError):
     """Raised when a canonical moment sequence is too short for the request."""

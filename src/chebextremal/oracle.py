@@ -14,16 +14,17 @@ with a fully corrective step), see ``oracle_bracket``.
 The certificate checker rebuilds the discrete dual measure and, in double
 precision, its moment matrices M_j in the Chebyshev basis of the support's
 hull, each as R_j' R_j from one QR of the weighted Chebyshev-Vandermonde
-matrix.  It forms the rank-one dual variables N_j = alpha_j a_j a_j' with
-a_j = sqrt(k_j) M_j^{-1} e_j and evaluates the optimality equalities:
-sum_j trace(M_j N_j) = 1, the rank-one structure equation per index, and
-the min-equality tying the weights to the indices of minimal norm.
+matrix, so that e_j' M_j^{-1} e_j = 1/R_jj^2.  With the rank-one dual
+variables N_j = alpha_j k_j M_j^{-1} e_j e_j' M_j^{-1} it evaluates the
+optimality equalities: sum_j trace(M_j N_j) = 1, the norm identity per
+index, and the min-equality tying the weights to the indices of minimal
+norm.
 
-Only these two checks use scipy (``scipy.optimize`` for the LP and the
-polish of the bracket, ``scipy.linalg.solve_triangular`` in the bracket and
-``scipy.linalg.lapack.dtrtrs`` in the certificate), and
-each imports it on its first call, so importing this module, and with it
-the solver and the CLI ``solve`` path, loads numpy alone.
+Only the bracket uses scipy (``scipy.optimize`` for the LP and the polish,
+``scipy.linalg.solve_triangular`` for the orthogonal polynomials of a
+measure), and it imports it on its first call, so importing this module,
+and with it the solver, the certificate and the CLI ``solve`` path, loads
+numpy alone.
 """
 
 from __future__ import annotations
@@ -73,11 +74,15 @@ class OracleBracket:
 class CertificateReport:
     """Residuals of the duality equality conditions.
 
-    ``trace_residual`` is |sum_j trace(M_j N_j) - 1|; ``structure_residuals``
-    the per-index relative Frobenius defect of the rank-one equation;
-    ``min_equality_residuals`` the two min-equality defects; and
-    ``norm_identity_residuals`` the defect of e_j' M_j^{-1} e_j * k_j = 1.
-    A singular moment matrix marks ``failed_index`` instead of raising.
+    ``trace_residual`` is |sum_j trace(M_j N_j) - 1|;
+    ``min_equality_residuals`` the two min-equality defects, the second of
+    which is the same sum as the trace; and ``norm_identity_residuals`` the
+    defect of e_j' M_j^{-1} e_j * k_j = 1.  ``structure_residuals`` is
+    always empty: the rank-one equation M_j N_j = e_j e_j' N_j /
+    (e_j' M_j^{-1} e_j) holds for any N_j built from M_j^{-1} e_j, so it is
+    not checked, and the field stays only because the benchmark reads it.
+    A singular moment matrix, or a pivot R_jj whose 1/R_jj^2 is not
+    finite, marks ``failed_index`` instead of raising.
     """
 
     trace_residual: float
@@ -92,7 +97,6 @@ class CertificateReport:
 
     def residuals(self) -> list[float]:
         out = [self.trace_residual]
-        out.extend(self.structure_residuals.values())
         out.extend(self.min_equality_residuals)
         out.extend(self.norm_identity_residuals.values())
         return out
@@ -433,8 +437,6 @@ def duality_certificate(sol: ExtremalSolution, spec: ProblemSpec) -> Certificate
     each equality keeps its meaning once k_j is scaled by lambda_j^2; the
     cross-index min-equality undoes that scaling.
     """
-    from scipy.linalg.lapack import dtrtrs
-
     if not sol.dual_moments.terminating:
         raise InvalidInputError("certificate needs a terminating dual sequence")
     b = spec.b
@@ -453,55 +455,34 @@ def duality_certificate(sol: ExtremalSolution, spec: ProblemSpec) -> Certificate
     R = np.linalg.qr(np.sqrt(w)[:, None] * chebvander((x - c) / h, spec.n), mode="r")
 
     report = CertificateReport(trace_residual=math.inf)
-    trace_total = weight_total = weighted_sum = 0.0
+    trace_total = weight_total = 0.0
     kmin = math.inf
     for j in spec.indices:
         # M_j is singular when fewer than j+1 support points carry weight
         if np.count_nonzero(w) < j + 1:
             report.failed_index = j
             return report
-        Rj = R[: j + 1, : j + 1]
         lam = 2.0 ** (j - 1) / h**j if j else 1.0
         k = ks[j] * lam * lam
-        # M_j^{-1} e_j: R_j' y = e_j is lower triangular, so y = e_j / R_jj
-        e = np.zeros(j + 1)
-        e[j] = 1.0
-        y = e / Rj[j, j]
-        # R_j x = y, called as scipy.linalg.solve_triangular calls LAPACK for
-        # a C-ordered block (its transpose, solved transposed): the same bits
-        # without its argument checks, up to 31 times per certificate.  The
-        # one kept is on y, which is not finite when R_jj is 0, subnormal or nan.
-        if not math.isfinite(y[j]):
-            raise ValueError("array must not contain infs or NaNs")
-        minv_e, info = dtrtrs(Rj.T, y, lower=1, trans=1)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                f"singular matrix: resolution failed at diagonal {info - 1}"
-            )
-        inv_entry = minv_e[j]
+        # M_j^{-1} e_j = R_j^{-1} (e_j / R_jj), whose last entry is the last
+        # step of the back-substitution
+        r = float(R[j, j])
+        inv_entry = 1.0 / r / r if r else math.inf
+        if not math.isfinite(inv_entry):
+            report.failed_index = j
+            return report
         report.norm_identity_residuals[j] = float(abs(inv_entry * k - 1.0))
-
-        a = math.sqrt(k) * minv_e
-        if sol.alphas[j] == 0.0 and math.isfinite(a @ a):
-            # N_j = 0 * a a' is exactly 0 (a a' finite, so no 0 * inf = nan):
-            # both sides of the structure equation vanish and every sum below
-            # would gain +0.0
-            report.structure_residuals[j] = 0.0
-        else:
-            N = sol.alphas[j] * np.outer(a, a)
-            lhs = Rj.T @ (Rj @ N)
-            rhs = np.outer(e, N[j]) / inv_entry
-            trace_total += np.trace(lhs)
-            scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
-            report.structure_residuals[j] = float(np.linalg.norm(lhs - rhs) / scale)
-            # the min-equality compares across indices, so restore the original
-            # variable: e_j' N_j e_j and 1/(e_j' M_j^{-1} e_j) pick up lambda_j^2
-            weight_total += N[j, j] * lam * lam
-            weighted_sum += N[j, j] / inv_entry
+        # N_j = alpha_j a a' with a = sqrt(k_j) M_j^{-1} e_j has
+        # trace(M_j N_j) = alpha_j k_j e_j' M_j^{-1} e_j, which is also
+        # e_j' N_j e_j / (e_j' M_j^{-1} e_j); the min-equality compares
+        # across indices, so it restores the original variable:
+        # e_j' N_j e_j and 1/(e_j' M_j^{-1} e_j) pick up lambda_j^2
+        trace_total += sol.alphas[j] * k * inv_entry
+        weight_total += sol.alphas[j] * k * inv_entry * inv_entry * lam * lam
         kmin = min(kmin, 1.0 / inv_entry / lam / lam)
     report.trace_residual = float(abs(trace_total - 1.0))
     report.min_equality_residuals = (
         float(abs(kmin * weight_total - 1.0)),
-        float(abs(weighted_sum - 1.0)),
+        report.trace_residual,
     )
     return report

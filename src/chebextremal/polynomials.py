@@ -5,8 +5,7 @@ basis of that interval, T_k(x/b).  Those coefficients are bounded by twice
 the polynomial's sup norm on [-b, b] (Trefethen, *Approximation Theory and
 Approximation Practice*, ch. 3), so the solver's three-term recurrence,
 squaring, summing and evaluation (Clenshaw) run without cancellation at
-every degree up to the cap.  The cap, 31, is the largest dual degree
-``ProblemSpec`` accepts.
+every degree.
 
 The sup of a (weighted) sum of squares over [-b, b] is exact up to
 rounding: the sum is formed as a Chebyshev series in x/b, the roots of
@@ -22,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 
-from .errors import DegreeLimitError, InvalidInputError
-
-MAX_DEGREE = 31
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -140,10 +137,6 @@ def critical_points(polys, b: float, weighted: bool = False) -> np.ndarray:
         raise InvalidInputError(f"every member must be a series on [-{b}, {b}]")
     live = [p for p in polys if not p.is_zero]
     maxdeg = max((p.degree for p in live), default=0)
-    if maxdeg > MAX_DEGREE:
-        raise DegreeLimitError(
-            f"polynomial degree {maxdeg} exceeds the cap {MAX_DEGREE}"
-        )
 
     # zeros at the top of g (a square whose top coefficient underflows) are
     # trimmed off g' below

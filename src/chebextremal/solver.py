@@ -41,7 +41,6 @@ from .canonical import (
 )
 from .errors import InvalidInputError
 from .polynomials import (
-    MAX_DEGREE,
     Polynomial,
     SupNormReport,
     sum_squares,
@@ -50,6 +49,9 @@ from .polynomials import (
 
 KIND_FIRST = "first"
 KIND_SECOND = "second"
+
+#: largest dual degree ``ProblemSpec`` accepts, the library's only degree cap
+MAX_DEGREE = 31
 
 #: relative tolerance for detecting indices of minimal squared norm
 ACTIVE_SET_RTOL = 1e-9

@@ -28,11 +28,12 @@ import numpy as np
 import numpy.polynomial.chebyshev as cheb
 
 from chebextremal.canonical import CanonicalMomentSeq, reflected
-from chebextremal.errors import DegreeLimitError, InvalidInputError
-from chebextremal.polynomials import MAX_DEGREE, Polynomial
+from chebextremal.errors import InvalidInputError
+from chebextremal.polynomials import Polynomial
 from chebextremal.solver import (
     KIND_FIRST,
     KIND_SECOND,
+    MAX_DEGREE,
     ExtremalSolution,
     ProblemSpec,
     _lifted_first_spec,
@@ -187,7 +188,7 @@ def _check_degree(n: int) -> None:
     if n < 0:
         raise InvalidInputError(f"degree must be nonnegative, got {n}")
     if n > MAX_DEGREE:
-        raise DegreeLimitError(f"degree {n} exceeds the cap {MAX_DEGREE}")
+        raise InvalidInputError(f"degree {n} exceeds the cap {MAX_DEGREE}")
 
 
 def _u_poly(m: int) -> Monomial:

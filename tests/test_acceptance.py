@@ -172,7 +172,6 @@ def test_05_duality_certificate():
             worst_eq = max(
                 worst_eq,
                 cert.trace_residual,
-                max(cert.structure_residuals.values()),
                 max(cert.min_equality_residuals),
             )
             worst_id = max(worst_id, max(cert.norm_identity_residuals.values()))

@@ -269,17 +269,25 @@ _NUMPY_ONLY_SCRIPT = textwrap.dedent(
         cli.main(["sweep", "--indices", "1,3", "--b-min", "1", "--b-max", "2",
                   "--steps", "5"]),
     ]
-    scipy_loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-    from chebextremal import ProblemSpec, duality_certificate, oracle_bracket, solve
+    scipy_loaded = scipy_modules()
+
+    from chebextremal import (ProblemSpec, duality_certificate, oracle_bracket, solve,
+                              verify_solution)
 
     spec = ProblemSpec("first", (1, 2), 2.0)
     sol = solve(spec)
+    verified = verify_solution(sol, spec).passed
     cert = duality_certificate(sol, spec)
+    scipy_after_checks = scipy_modules()
     bracket = oracle_bracket(spec)
     print(json.dumps({
         "codes": codes,
         "scipy_loaded": scipy_loaded,
+        "scipy_after_checks": scipy_after_checks,
+        "verified": verified,
         "certificate_ok": cert.ok,
         "certificate_max_residual": max(cert.residuals()),
         "objective": sol.objective,
@@ -301,7 +309,10 @@ class TestStartup:
         record = json.loads(proc.stdout.strip().splitlines()[-1])
         assert record["codes"] == [0, 0, 0]
         assert record["scipy_loaded"] == []
-        # the two scipy consumers still import it on their first call
+        # verify_solution and the certificate run on numpy too; only the
+        # oracle bracket imports scipy, on its first call
+        assert record["scipy_after_checks"] == []
+        assert record["verified"]
         assert record["certificate_ok"]
         assert record["certificate_max_residual"] <= 1e-8
         objective = record["objective"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from chebextremal import (
     CanonicalMomentSeq,
+    DiscreteMeasure,
     ExtremalSolution,
     InvalidInputError,
     Polynomial,
@@ -20,6 +21,7 @@ from chebextremal import (
     support_measure,
     verify_solution,
 )
+from chebextremal import oracle
 from chebextremal.oracle import ORACLE_MAX_N
 
 
@@ -137,7 +139,6 @@ class TestDualityCertificate:
             cert = duality_certificate(solve(spec), spec)
             assert cert.ok
             assert cert.trace_residual <= 1e-9
-            assert max(cert.structure_residuals.values()) <= 1e-9
             assert max(cert.min_equality_residuals) <= 1e-9
             assert max(cert.norm_identity_residuals.values()) <= 1e-9
 
@@ -164,20 +165,31 @@ class TestDualityCertificate:
         assert not cert.ok
         assert cert.failed_index == 2
 
+    def test_degenerate_pivot_flags_index(self, monkeypatch):
+        # a subnormal weight leaves R_33 about 1e-162, so 1/R_33^2 overflows
+        spec = ProblemSpec("first", (1, 2, 3), 2.0)
+        sol = solve(spec)
+        measure = support_measure(sol.dual_moments)
+        thin = DiscreteMeasure(measure.points, (*measure.weights[:-1], 5e-324))
+        monkeypatch.setattr(oracle, "support_measure", lambda cm: thin)
+        cert = duality_certificate(sol, spec)
+        assert not cert.ok
+        assert cert.failed_index == 3
+        assert set(cert.norm_identity_residuals) == {1, 2}
+
     @pytest.mark.parametrize(
         "spec",
         [ProblemSpec("first", range(1, 7), 1.4), ProblemSpec("second", range(0, 5), 1.2)],
         ids=str,
     )
-    def test_weight_on_a_zero_weight_degree_fails(self, spec):
-        """Degrees of zero dual weight skip the rank-one algebra; moving the
-        weight onto one must still fail the min-equality."""
+    def test_weight_on_a_dead_degree_fails_the_min_equality(self, spec):
+        """Moving the dual weight onto a dead degree, one of zero dual
+        weight, fails the min-equality."""
         sol = solve(spec)
         assert sol.phase_index > 1
         zero = [j for j in spec.indices if sol.alphas[j] == 0.0]
         assert zero
         cert = duality_certificate(sol, spec)
-        assert all(cert.structure_residuals[j] == 0.0 for j in zero)
         assert max(cert.residuals()) <= 1e-9
 
         top = max(spec.indices, key=sol.alphas.__getitem__)
@@ -185,7 +197,6 @@ class TestDualityCertificate:
         alphas[zero[0]], alphas[top] = alphas[top], 0.0
         doctored = duality_certificate(dataclasses.replace(sol, alphas=alphas), spec)
         assert doctored.ok
-        assert doctored.structure_residuals[top] == 0.0
         assert doctored.min_equality_residuals[0] > 0.5
 
     def test_non_terminating_rejected(self):
@@ -222,7 +233,6 @@ def test_certificate_holds(spec):
     cert = duality_certificate(solve(spec), spec)
     assert cert.ok
     assert cert.trace_residual <= 1e-8
-    assert max(cert.structure_residuals.values()) <= 1e-8
     assert max(cert.min_equality_residuals) <= 1e-8
     assert max(cert.norm_identity_residuals.values()) <= 1e-9
 
