@@ -16,7 +16,6 @@ modify the measure by the weight b^2 - x^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
@@ -178,7 +177,6 @@ def jacobi_coefficients(cm: CanonicalMomentSeq, size: int):
     return diag, squares
 
 
-@lru_cache(maxsize=8)
 def support_measure(cm: CanonicalMomentSeq) -> DiscreteMeasure:
     """Support points and weights of a terminating canonical moment sequence.
 
@@ -189,10 +187,8 @@ def support_measure(cm: CanonicalMomentSeq) -> DiscreteMeasure:
     of it costs no more than a tridiagonal solver), weights the squared
     first components of its unit eigenvectors.
 
-    The result is memoized on ``cm`` (frozen, hashable, compared by value)
-    for the last few sequences, so checking one solution twice, as
-    ``verify_solution`` and ``duality_certificate`` do, runs ``eigh`` once.
-    Sharing it is safe: a ``DiscreteMeasure`` holds tuples.
+    A solution's measure is computed once, as ``ExtremalSolution.support``,
+    which ``verify_solution`` and ``duality_certificate`` both read.
     """
     if not cm.terminating:
         raise InvalidInputError("support recovery needs a terminating sequence")
@@ -218,6 +214,9 @@ def reflected(cm: CanonicalMomentSeq) -> CanonicalMomentSeq:
     For the terminating dual sequences produced by the solver, reflection
     maps the measure carrying the unweighted problem's attainment points to
     the one carrying the (b^2 - x^2)-weighted problem's attainment points,
-    one degree down.
+    one degree down.  Their entries lie in [1/2, 1], where 1 - p is exact
+    (Sterbenz), so reflecting them twice gives back the same doubles:
+    ``family_norms`` reflects a second-kind solution's moments back to the
+    lift's own.
     """
     return CanonicalMomentSeq(b=cm.b, p=tuple(1.0 - v for v in cm.p))

@@ -35,10 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval, chebvander
 
-from .canonical import l2_norms, reflected, support_measure
 from .errors import InvalidInputError
 from .polynomials import Polynomial, critical_points, sum_squares, sup_sum_squares
-from .solver import KIND_SECOND, ExtremalSolution, ProblemSpec
+from .solver import KIND_SECOND, ExtremalSolution, ProblemSpec, family_norms
 
 ORACLE_MAX_N = 5
 #: relative bracket width (upper - lower) / upper at which the oracle stops
@@ -440,16 +439,11 @@ def duality_certificate(sol: ExtremalSolution, spec: ProblemSpec) -> Certificate
     if not sol.dual_moments.terminating:
         raise InvalidInputError("certificate needs a terminating dual sequence")
     b = spec.b
-    measure = support_measure(sol.dual_moments)
-    x = np.asarray(measure.points)
-    w = np.asarray(measure.weights)
-    # squared norms k_j by degree; for the weighted kind the norm of degree j
-    # equals the unweighted one of degree j+1 under the reflected sequence
+    x = np.asarray(sol.support.points)
+    w = np.asarray(sol.support.weights)
     if spec.kind == KIND_SECOND:
         w = w * (b - x) * (b + x)
-        ks = l2_norms(reflected(sol.dual_moments), spec.n + 1)
-    else:
-        ks = [1.0] + l2_norms(sol.dual_moments, spec.n)
+    ks = family_norms(sol.dual_moments, spec)
     c = 0.5 * (x[0] + x[-1])
     h = 0.5 * (x[-1] - x[0]) if len(x) > 1 else 1.0
     R = np.linalg.qr(np.sqrt(w)[:, None] * chebvander((x - c) / h, spec.n), mode="r")

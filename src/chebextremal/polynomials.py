@@ -124,15 +124,15 @@ def critical_points(polys, b: float, weighted: bool = False) -> np.ndarray:
         The family whose squared sum is bounded.  Must be nonempty; zero
         polynomials are allowed.  Every member must be a series on [-b, b].
     b : float
-        Interval half-width, in (0, 10].
+        Interval half-width, positive.  ``ProblemSpec`` alone bounds it.
     weighted : bool
         When set, take g = (b^2 - x^2) * sum(P_j^2) instead.
     """
     polys = list(polys)
     if not polys:
         raise InvalidInputError("polynomial list must be nonempty")
-    if not 0.0 < b <= 10.0:
-        raise InvalidInputError(f"half-width must lie in (0, 10], got {b}")
+    if not b > 0.0:
+        raise InvalidInputError(f"half-width must be positive, got {b}")
     if any(p.b != b for p in polys):
         raise InvalidInputError(f"every member must be a series on [-{b}, {b}]")
     live = [p for p in polys if not p.is_zero]

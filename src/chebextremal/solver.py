@@ -8,9 +8,14 @@ with n = max(I):
   canonical-moment construction.
 * ``second``: the (b^2 - x^2)-weighted variant on I subset of {0..n}.
   Solved for arbitrary I by the same construction on the first kind on
-  I + 1.  Its family is orthogonal for (b^2 - x^2) times the reflected
-  dual measure, whose recurrence follows from the reflected measure's
-  Jacobi matrix by a Christoffel step.
+  I + 1, its lift.  Its family is orthogonal for (b^2 - x^2) times the
+  reflected dual measure, whose recurrence follows from the reflected
+  measure's Jacobi matrix by a Christoffel step.
+
+Both kinds run one dual pipeline.  ``_lift`` is the only place that maps
+I to I + 1, and ``family_norms`` the only place that reads the family's
+squared norms off a solution's dual moments; ``solve``, ``verify_solution``
+and ``duality_certificate`` see the lift through these two alone.
 
 The optimum of the first kind equals 1/k_n(xi*) where xi* minimizes, over
 probability measures on [-b, b], the largest reciprocal squared norm of
@@ -26,11 +31,13 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .canonical import (
     CanonicalMomentSeq,
+    DiscreteMeasure,
     jacobi_coefficients,
     l2_norms,
     monic_from_recurrence,
@@ -63,15 +70,6 @@ DUALITY_TOL = 1e-9
 OBJECTIVE_CONSISTENCY_RTOL = 1e-12
 
 
-def _dual_degree(kind: str, n: int) -> int:
-    """Top degree of the first-kind problem that a ``kind`` problem solves.
-
-    That is n for the first kind and n + 1 for the second, which solves
-    through the first kind on I + 1.  ``MAX_DEGREE`` caps it.
-    """
-    return n if kind == KIND_FIRST else n + 1
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Problem statement: kind, prescribed degrees, interval half-width."""
@@ -98,7 +96,7 @@ class ProblemSpec:
             raise InvalidInputError(
                 f"{self.kind}-kind indices must be >= {low}, got {idx[0]}"
             )
-        d = _dual_degree(self.kind, idx[-1])
+        d = idx[-1] + 1 - low  # the top degree of ``_lift``: n + 1 for the second kind
         if d > MAX_DEGREE:
             raise InvalidInputError(
                 f"{self.kind}-kind max index {idx[-1]} has dual degree {d},"
@@ -128,6 +126,12 @@ class ExtremalSolution:
     it vanishes.  That problem is I itself for the first kind and the lift
     I + 1 for the second, so a second-kind phase index k counts in the
     lift: its lowest nonvanishing member has degree k - 1.
+
+    ``dual_moments`` are those of the measure the family is orthogonal
+    for: the dual measure itself for the first kind, the reflection of the
+    lift's for the second.  ``support`` is that measure's support, computed
+    once per solution and shared by ``verify_solution`` and
+    ``duality_certificate``.
     """
 
     polys: dict[int, Polynomial]
@@ -136,6 +140,11 @@ class ExtremalSolution:
     dual_moments: CanonicalMomentSeq
     active_set: tuple[int, ...]
     phase_index: int
+
+    @cached_property
+    def support(self) -> DiscreteMeasure:
+        """Support points and weights of ``dual_moments``, by ``support_measure``."""
+        return support_measure(self.dual_moments)
 
 
 @dataclass(frozen=True)
@@ -151,22 +160,51 @@ class VerificationReport:
     passed: bool = False
 
 
-def dual_moments(spec: ProblemSpec) -> CanonicalMomentSeq:
-    """Canonical moments of the dual optimal measure (first kind only).
+def _lift(spec: ProblemSpec) -> tuple[ProblemSpec, int]:
+    """The first-kind problem that ``spec`` solves through, and the index shift.
 
-    Odd entries are 1/2, p_{2n} = 1, and the remaining even entries are
-    filled from the top down:
+    The first kind solves on I itself, with shift 0.  The weighted problem
+    on I inherits its dual data from the unweighted problem on I + 1, with
+    shift 1: the optimal values coincide and the attainment measure is the
+    reflection of the lifted dual measure (Dette & Studden, *The Theory of
+    Canonical Moments*, 1997).  A degree j of ``spec`` is j + shift in the lift.
+    """
+    if spec.kind == KIND_FIRST:
+        return spec, 0
+    return ProblemSpec(KIND_FIRST, tuple(j + 1 for j in spec.indices), spec.b), 1
+
+
+def family_norms(dual: CanonicalMomentSeq, spec: ProblemSpec) -> list[float]:
+    """Squared norms k_0..k_n, by degree, of the monic polynomials of the family.
+
+    ``dual`` is a solution's ``dual_moments``.  For the first kind these are
+    the norms of its measure, k_0 = 1 for a probability measure.  For the
+    second they are the (b^2 - x^2)-weighted ones, which equal the lift's
+    unweighted norms k_1..k_{n+1}: those of the reflection of ``dual``.
+    """
+    if spec.kind == KIND_FIRST:
+        return [1.0] + l2_norms(dual, spec.n)
+    return l2_norms(reflected(dual), spec.n + 1)
+
+
+def dual_moments(spec: ProblemSpec) -> CanonicalMomentSeq:
+    """Canonical moments of the dual optimal measure of ``spec``'s lift.
+
+    For either kind the recurrence runs on the first-kind problem of
+    ``_lift``, on I with n = max(I).  Odd entries are 1/2, p_{2n} = 1, and
+    the remaining even entries are filled from the top down:
 
         p_{2m} = max( z_m * [1 - b^{-2(n-m)} / prod_{i=m+1}^{n-1} q_{2i} p_{2i}],
                       1/2 )
 
     with z_m = 1 iff m is a prescribed degree, the empty product being 1.
     The descending order matters: each entry depends on those above it.
+    An entry below the top that rounds to 1 raises ``InvalidInputError``
+    naming ``spec`` and, for the second kind, the lift's indices.
     """
-    if spec.kind != KIND_FIRST:
-        raise InvalidInputError("dual moments are defined for the first kind only")
-    n = spec.n
-    members = set(spec.indices)
+    lift, shift = _lift(spec)
+    n = lift.n
+    members = set(lift.indices)
     p = [0.5] * (2 * n)
     p[2 * n - 1] = 1.0
     tail = 1.0  # running product of q_{2i} p_{2i} over i = m+1 .. n-1
@@ -175,9 +213,10 @@ def dual_moments(spec: ProblemSpec) -> CanonicalMomentSeq:
             val = 1.0 - spec.b ** (-2 * (n - m)) / tail
             p2m = max(val, 0.5)
             if p2m >= 1.0:
+                where = f", in the dual of the first kind on I + 1 = {lift.indices}" if shift else ""
                 raise InvalidInputError(
                     f"{spec}: even dual moment p_{2 * m} rounds to 1 at m = {m},"
-                    " before the terminal index"
+                    f" before the terminal index{where}"
                 )
         else:
             p2m = 0.5
@@ -215,76 +254,47 @@ def alpha_weights(cm: CanonicalMomentSeq, n: int) -> list[float]:
     return out
 
 
-def _positive_leading(p: Polynomial) -> Polynomial:
-    return -p if p.leading < 0.0 else p
-
-
-def _lifted_first_spec(indices, b: float) -> ProblemSpec:
-    """First-kind spec with every prescribed degree shifted up by one.
-
-    The weighted problem on I inherits its dual data from the unweighted
-    problem on I + 1: the optimal values coincide and the attainment
-    measure is the reflection of the lifted dual measure.
-    """
-    return ProblemSpec(kind=KIND_FIRST, indices=tuple(i + 1 for i in indices), b=b)
-
-
 def solve(spec: ProblemSpec) -> ExtremalSolution:
     """Solve either kind for an arbitrary index set by the dual construction.
 
-    The first kind runs dual moments -> squared norms k_j -> alpha weights
-    on I itself, and its family is built on the monic orthogonal
-    polynomials P_j of the dual measure.  The second kind runs the same
-    chain on the first-kind problem on I + 1; its family is built on the
-    monic orthogonal polynomials Q_j of (b^2 - x^2) d(eta), where eta is
-    the reflected lifted dual measure (n + 1 interior points).  Their
-    recurrence is ``weighted_recurrence`` of eta's exact Jacobi matrix, so
-    no support point or weight is computed.  Either way member j is
-    sqrt(alpha / k) times its monic polynomial, with alpha and k taken at
-    the (lifted) index, and the objective is 1/k at the top (lifted) index.
-    The phase index is the lowest (lifted) index with alpha > 0.
+    Either kind runs dual moments -> alpha weights -> active set on its
+    ``_lift``: I itself for the first kind, I + 1 for the second.  The
+    first kind's family is built on the monic orthogonal polynomials P_j of
+    the dual measure.  The second kind's is built on the monic orthogonal
+    polynomials Q_j of (b^2 - x^2) d(eta), where eta is the reflected
+    lifted dual measure (n + 1 interior points).  Their recurrence is
+    ``weighted_recurrence`` of eta's exact Jacobi matrix, so no support
+    point or weight is computed.  Either way member j is sqrt(alpha / k_j)
+    times its monic polynomial, with alpha taken at the lifted index and
+    k_j from ``family_norms``, and the objective is 1/k_n.  The phase index
+    is the lowest lifted index with alpha > 0.
     """
-    weighted = spec.kind == KIND_SECOND
-    lifted = _lifted_first_spec(spec.indices, spec.b) if weighted else spec
-    try:
-        cm = dual_moments(lifted)
-    except InvalidInputError as exc:
-        if not weighted:
-            raise
-        detail = str(exc).removeprefix(f"{lifted}: ")
-        raise InvalidInputError(
-            f"{spec}: {detail}, in the dual of the first kind on I + 1 = {lifted.indices}"
-        ) from exc
-    shift = 1 if weighted else 0  # lifted index = index + shift
-    ks = l2_norms(cm, lifted.n)
-    alphas_all = alpha_weights(cm, lifted.n)
-    if weighted:
+    cm = dual_moments(spec)
+    lift, shift = _lift(spec)
+    alphas_all = alpha_weights(cm, lift.n)
+    if shift:
         dual = reflected(cm)
-        recurrence = weighted_recurrence(*jacobi_coefficients(dual, lifted.n), spec.b)
+        recurrence = weighted_recurrence(*jacobi_coefficients(dual, lift.n), spec.b)
         monics = monic_from_recurrence(*recurrence, spec.b)
     else:
         dual = cm
         monics = monic_orthopolys(cm, spec.n)
+    ks = family_norms(dual, spec)
 
     polys: dict[int, Polynomial] = {}
     alphas: dict[int, float] = {}
     for j in spec.indices:
         a = alphas_all[j + shift - 1]
         alphas[j] = a
-        if a <= 0.0:
-            polys[j] = Polynomial.zero(spec.b)
-        else:
-            scaled = math.sqrt(a / ks[j + shift - 1]) * monics[j]
-            polys[j] = _positive_leading(scaled)
-    objective = 1.0 / ks[lifted.n - 1]
+        polys[j] = math.sqrt(a / ks[j]) * monics[j] if a > 0.0 else Polynomial.zero(spec.b)
 
     return ExtremalSolution(
         polys=polys,
         alphas=alphas,
-        objective=objective,
+        objective=1.0 / ks[spec.n],
         dual_moments=dual,
-        active_set=tuple(j - shift for j in active_set(cm, lifted)),
-        phase_index=next(j for j in lifted.indices if alphas_all[j - 1] > 0.0),
+        active_set=tuple(j - shift for j in active_set(cm, lift)),
+        phase_index=next(j for j in lift.indices if alphas_all[j - 1] > 0.0),
     )
 
 
@@ -298,26 +308,18 @@ def verify_solution(sol: ExtremalSolution, spec: ProblemSpec) -> VerificationRep
     Check failures are reported in flags, never raised.
     """
     b = spec.b
-    n = spec.n
     weighted = spec.kind == KIND_SECOND
     family = [sol.polys[j] for j in spec.indices]
     sup_report = sup_sum_squares(family, b, weighted=weighted)
 
     objective = sum(p.leading**2 for p in sol.polys.values())
 
-    if weighted:
-        cm_lift = reflected(sol.dual_moments)
-        ks = l2_norms(cm_lift, n + 1)
-        k_top = ks[n]
-        active_ks = [ks[j] for j in sol.active_set]  # lifted index j+1 -> ks[j]
-    else:
-        ks = l2_norms(sol.dual_moments, n)
-        k_top = ks[n - 1]
-        active_ks = [ks[j - 1] for j in sol.active_set]
+    ks = family_norms(sol.dual_moments, spec)
+    active_ks = [ks[j] for j in sol.active_set]
     equimax_spread = (max(active_ks) - min(active_ks)) / min(active_ks)
-    duality_residual = abs(sol.objective * k_top - 1.0)
+    duality_residual = abs(sol.objective * ks[spec.n] - 1.0)
 
-    x = np.asarray(support_measure(sol.dual_moments).points)
+    x = np.asarray(sol.support.points)
     g = sum_squares(family, x, b, weighted)
     attain = float(np.max(np.abs(g - 1.0)))
 

@@ -36,8 +36,7 @@ from chebextremal.solver import (
     MAX_DEGREE,
     ExtremalSolution,
     ProblemSpec,
-    _lifted_first_spec,
-    _positive_leading,
+    _lift,
     active_set,
     alpha_weights,
     dual_moments,
@@ -105,7 +104,7 @@ def reference_phase_index(spec: ProblemSpec, dps: int = 60) -> int:
     lowest with a positive dual weight.  At this precision no entry below
     the top rounds to 1.
     """
-    lifted = spec if spec.kind == KIND_FIRST else _lifted_first_spec(spec.indices, spec.b)
+    lifted, _ = _lift(spec)
     n, members = lifted.n, set(lifted.indices)
     with mpmath.workdps(dps):
         b, half = mpmath.mpf(lifted.b), mpmath.mpf(0.5)
@@ -115,6 +114,11 @@ def reference_phase_index(spec: ProblemSpec, dps: int = 60) -> int:
             p[m] = max(1 - b ** (-2 * (n - m)) / tail, half) if m in members else half
             tail *= (1 - p[m]) * p[m]
     return next(m for m in lifted.indices if p[m] > half)
+
+
+def _positive_leading(p: Polynomial) -> Polynomial:
+    """``p`` or ``-p``, whichever has a nonnegative leading coefficient."""
+    return -p if p.leading < 0.0 else p
 
 
 def monomial(p: Polynomial, length: int | None = None) -> np.ndarray:
@@ -327,7 +331,7 @@ def closed_form_second_full(n: int, b: float) -> ExtremalSolution:
         polys[l] = _positive_leading(to_library(beta * shape, b))
     objective = 2.0 ** (2 * k - 2) / b ** (2 * k - 1) * u(n - k + 1) / u(n - k + 2)
 
-    lifted = _lifted_first_spec(range(0, n + 1), b)
+    lifted, _ = _lift(ProblemSpec(KIND_SECOND, range(0, n + 1), b))
     cm_lift = dual_moments(lifted)
     alphas_lift = alpha_weights(cm_lift, n + 1)
     act_lift = active_set(cm_lift, lifted)
@@ -372,7 +376,7 @@ def closed_form_second_pair(n: int, b: float) -> ExtremalSolution:
         objective = (2.0 / b) ** (2 * (n - 1)) / (b2 - 1.0)
         phase = n
 
-    lifted = _lifted_first_spec((n - 1, n), b)
+    lifted, _ = _lift(ProblemSpec(KIND_SECOND, (n - 1, n), b))
     cm_lift = dual_moments(lifted)
     alphas_lift = alpha_weights(cm_lift, n + 1)
     act_lift = active_set(cm_lift, lifted)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebextremal import (
     CanonicalMomentSeq,
@@ -21,6 +23,7 @@ from chebextremal import (
     zetas,
 )
 from chebextremal.canonical import weighted_recurrence
+from chebextremal.solver import MAX_DEGREE, _lift
 from closed_forms import monomial
 
 
@@ -256,3 +259,34 @@ class TestReflection:
         ref = reflected(cm)
         assert ref.p == (0.5, 0.25, 0.5, 0.0)
         assert ref.terminating
+
+
+@st.composite
+def _accepted_specs(draw):
+    """Any spec of either kind up to the degree cap, b log-uniform in [1e-3, 10]."""
+    kind = draw(st.sampled_from(("first", "second")))
+    low = 1 if kind == "first" else 0
+    # the second kind's dual degree is n + 1
+    n = draw(st.integers(low, MAX_DEGREE - 1 + low))
+    below = draw(st.sets(st.integers(low, n - 1))) if n > low else set()
+    return ProblemSpec(kind, below | {n}, 10.0 ** draw(st.floats(-3.0, 1.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_accepted_specs())
+def test_solutions_reflect_back_bit_for_bit_and_lead_positive(spec):
+    """Either kind's dual moments are its lift's, a solution's moments
+    reflect twice to the same doubles (which ``family_norms`` rests on), and
+    every nonzero member has a positive leading coefficient."""
+    lift, _ = _lift(spec)
+    try:
+        cm = dual_moments(spec)
+    except InvalidInputError:
+        with pytest.raises(InvalidInputError):
+            dual_moments(lift)
+        return
+    assert cm == dual_moments(lift)
+    sol = solve(spec)
+    twice = reflected(reflected(sol.dual_moments))
+    assert np.array(twice.p).tobytes() == np.array(sol.dual_moments.p).tobytes()
+    assert all(p.leading > 0.0 for p in sol.polys.values() if not p.is_zero)

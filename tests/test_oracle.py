@@ -21,7 +21,6 @@ from chebextremal import (
     support_measure,
     verify_solution,
 )
-from chebextremal import oracle
 from chebextremal.oracle import ORACLE_MAX_N
 
 
@@ -169,9 +168,9 @@ class TestDualityCertificate:
         # a subnormal weight leaves R_33 about 1e-162, so 1/R_33^2 overflows
         spec = ProblemSpec("first", (1, 2, 3), 2.0)
         sol = solve(spec)
-        measure = support_measure(sol.dual_moments)
+        measure = sol.support
         thin = DiscreteMeasure(measure.points, (*measure.weights[:-1], 5e-324))
-        monkeypatch.setattr(oracle, "support_measure", lambda cm: thin)
+        monkeypatch.setitem(vars(sol), "support", thin)
         cert = duality_certificate(sol, spec)
         assert not cert.ok
         assert cert.failed_index == 3
@@ -248,24 +247,20 @@ def test_certificate_holds(spec):
     ids=str,
 )
 def test_reports_do_not_depend_on_the_support_memo(spec):
-    """``verify_solution`` and ``duality_certificate`` share one memoized
-    support measure; neither the call order nor a cleared memo changes them."""
+    """``verify_solution`` and ``duality_certificate`` share the support
+    measure computed once per solution; the call order does not change them,
+    nor does computing it afresh for a new solution."""
     sol = solve(spec)
-    support_measure.cache_clear()
     cert_first = repr(duality_certificate(sol, spec)), repr(verify_solution(sol, spec))
-    support_measure.cache_clear()
     report = repr(verify_solution(sol, spec))
     verify_first = repr(duality_certificate(sol, spec)), report
-    support_measure.cache_clear()
+    sol = solve(spec)
     certificate = repr(duality_certificate(sol, spec))
-    support_measure.cache_clear()
     cleared = certificate, repr(verify_solution(sol, spec))
     assert cert_first == verify_first == cleared
 
     twin = CanonicalMomentSeq(b=sol.dual_moments.b, p=list(sol.dual_moments.p))
     assert twin is not sol.dual_moments
-    support_measure.cache_clear()
     fresh = support_measure(twin)
-    assert support_measure(sol.dual_moments) == fresh
-    support_measure.cache_clear()
-    assert support_measure(sol.dual_moments) == fresh
+    assert sol.support == fresh
+    assert solve(spec).support == fresh

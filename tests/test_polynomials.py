@@ -195,9 +195,18 @@ class TestSupSumSquares:
 
     def test_bad_half_width_rejected(self):
         with pytest.raises(InvalidInputError):
-            sup_sum_squares([Polynomial((1.0,), 11.0)], 11.0)
-        with pytest.raises(InvalidInputError):
             sup_sum_squares([Polynomial((1.0,), 1.0)], 0.0)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("b", [20.0, 1e3])
+    def test_half_widths_past_the_spec_range_match_a_fine_grid(self, b, weighted):
+        # the half-width range is ProblemSpec's alone: the sup takes any b > 0
+        rng = np.random.default_rng(int(b) + weighted)
+        polys = [Polynomial(tuple(rng.standard_normal(d + 1)), b) for d in (12, 5, 0)]
+        report = sup_sum_squares(polys, b, weighted=weighted)
+        grid = sum_squares(polys, np.linspace(-b, b, 200001), b, weighted)
+        assert report.sup >= grid.max() * (1.0 - 1e-13)
+        assert report.sup == pytest.approx(grid.max(), rel=1e-5)
 
     def test_member_on_another_interval_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -132,10 +132,6 @@ class TestDualMoments:
                 assert all(cm.p[i] == 0.5 for i in range(0, len(cm.p), 2))
                 assert all(0.5 <= cm.p[i] <= 1.0 for i in range(1, len(cm.p), 2))
 
-    def test_second_kind_rejected(self):
-        with pytest.raises(InvalidInputError):
-            dual_moments(ProblemSpec("second", (0, 1), 1.0))
-
     def test_moment_rounding_to_one_is_rejected(self):
         # b^{-38} vanishes against 1, so p_22 rounds to 1 before p_60
         spec = ProblemSpec("first", (11, 30), 9.312980080348801)
