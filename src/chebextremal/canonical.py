@@ -199,8 +199,6 @@ def support_measure(cm: CanonicalMomentSeq) -> DiscreteMeasure:
         )
     size = length // 2 + 1 if cm.p[-1] == 1.0 else length // 2
     diag, squares = jacobi_coefficients(cm, size)
-    if size == 1:
-        return DiscreteMeasure(points=(diag[0],), weights=(1.0,))
     off = np.sqrt(squares)
     vals, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     weights = vecs[0, :] ** 2

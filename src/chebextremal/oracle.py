@@ -36,8 +36,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval, chebvander
 
 from .errors import InvalidInputError
-from .polynomials import Polynomial, critical_points, sum_squares, sup_sum_squares
-from .solver import KIND_SECOND, ExtremalSolution, ProblemSpec, family_norms
+from .polynomials import Polynomial, critical_points, sum_squares
+from .solver import KIND_SECOND, ExtremalSolution, ProblemSpec, _require_interval, family_norms
 
 ORACLE_MAX_N = 5
 #: relative bracket width (upper - lower) / upper at which the oracle stops
@@ -143,19 +143,16 @@ def _monic(R, lam, j: int, floor: float = 1e-12):
     return c
 
 
-def _support_candidates(spec: ProblemSpec, members: dict[int, Polynomial]):
+def _support_candidates(spec: ProblemSpec, xs, values):
     """Points where W times a family's sum of squares comes within 1e-4 of its max.
 
-    The optimal dual measure lives on n + 1 points where the optimal
-    family's constraint attains 1; a nearly optimal family has its highest
-    maxima there, and where the constraint is nearly flat a few more.
-    Only points with W > 0 count, highest first; a family missing a member
-    may have fewer than n + 1.
+    ``values`` is that sum at the family's ``critical_points`` ``xs``.  The
+    optimal dual measure lives on n + 1 points where the optimal family's
+    constraint attains 1; a nearly optimal family has its highest maxima
+    there, and where the constraint is nearly flat a few more.  Only
+    points with W > 0 count, highest first; a family missing a member may
+    have fewer than n + 1.
     """
-    family = list(members.values())
-    weighted = spec.kind == KIND_SECOND
-    xs = critical_points(family, spec.b, weighted)
-    values = sum_squares(family, xs, spec.b, weighted)
     points: list[float] = []
     for i in np.argsort(-values):
         if values[i] < (1.0 - 1e-4) * values.max():
@@ -290,8 +287,8 @@ def oracle_bracket(spec: ProblemSpec) -> OracleBracket:
       LP's dual alone is often too thin to fix P_n, and stalls);
     * solves the LP (HiGHS dual simplex) for the mixture weights mu;
     * truncates each degree's block sum_s mu_s c_s c_s' of the mixture to
-      its top eigenpair and rescales that family by its exact
-      ``sup_sum_squares``: its value is a ``lower`` candidate;
+      its top eigenpair and rescales that family by its exact sup, the
+      largest value at its ``critical_points``: a ``lower`` candidate;
     * takes the measure on that family's n + 1 highest maxima that makes
       its top member orthogonal, and polishes it by SLSQP: two more
       ``upper`` candidates.  If the round stalled (the bracket shrank by
@@ -373,14 +370,16 @@ def oracle_bracket(spec: ProblemSpec) -> OracleBracket:
             w, v = np.linalg.eigh((block * mu[degrees == j]) @ block.T)
             top = math.sqrt(max(w[-1], 0.0)) * v[:, -1]
             members[j] = Polynomial(tuple(top if top[j] >= 0.0 else -top), b)
-        sup = sup_sum_squares(list(members.values()), b, weighted=weighted).sup
+        xs = critical_points(members.values(), weighted=weighted)
+        values = sum_squares(members.values(), xs, weighted=weighted)
+        sup = float(values.max())
         if sup > 0.0:
             scaled = {j: p * (1.0 / math.sqrt(sup)) for j, p in members.items()}
             value = sum(p.leading**2 for p in scaled.values())
             if value > lower:
                 lower, family = value, scaled
 
-        points = _support_candidates(spec, members)
+        points = _support_candidates(spec, xs, values)
         if len(points) > n and not members[n].is_zero:
             highest = np.sort(points[: n + 1])
             weights = _closed_form_weights(spec, members[n], highest)
@@ -407,8 +406,8 @@ def oracle_bracket(spec: ProblemSpec) -> OracleBracket:
         mixture = [Polynomial(tuple(math.sqrt(wk) * v[:, k]), b) for k, wk in enumerate(w) if wk > 0.0]
         fresh = list(best[0])
         if mixture:
-            xs = critical_points(mixture, b, weighted)
-            fresh += list(xs[sum_squares(mixture, xs, b, weighted) > 1.0])
+            xs = critical_points(mixture, weighted=weighted)
+            fresh += list(xs[sum_squares(mixture, xs, weighted=weighted) > 1.0])
         prices = np.maximum(-res.ineqlin.marginals, 0.0)
         if prices.sum() > 0.0:
             priced = (rows[prices > 0.0], prices[prices > 0.0] / prices.sum())
@@ -434,10 +433,10 @@ def duality_certificate(sol: ExtremalSolution, spec: ProblemSpec) -> Certificate
     monomial Hankel matrices by a triangular matrix with diagonal
     lambda_i = 2^(i-1)/h^i, the leading coefficients of T_i((x - c)/h), so
     each equality keeps its meaning once k_j is scaled by lambda_j^2; the
-    cross-index min-equality undoes that scaling.
+    cross-index min-equality undoes that scaling.  A solution not on
+    spec.b, or whose dual sequence does not terminate, raises ``InvalidInputError``.
     """
-    if not sol.dual_moments.terminating:
-        raise InvalidInputError("certificate needs a terminating dual sequence")
+    _require_interval(sol, spec)
     b = spec.b
     x = np.asarray(sol.support.points)
     w = np.asarray(sol.support.weights)

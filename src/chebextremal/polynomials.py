@@ -7,11 +7,11 @@ Approximation Practice*, ch. 3), so the solver's three-term recurrence,
 squaring, summing and evaluation (Clenshaw) run without cancellation at
 every degree.
 
-The sup of a (weighted) sum of squares over [-b, b] is exact up to
-rounding: the sum is formed as a Chebyshev series in x/b, the roots of
-its derivative are found as colleague-matrix eigenvalues, and the family
-is evaluated at those critical points and at the endpoints, all members
-in one Clenshaw pass over their stacked coefficients.
+The sup of a (weighted) sum of squares over [-b, b], with b read off the
+family, whose members must share it, is exact up to rounding: the sum is
+formed as a Chebyshev series in x/b, the roots of its derivative are
+colleague-matrix eigenvalues, and the family is evaluated at those
+critical points and at the endpoints in one Clenshaw pass.
 """
 
 from __future__ import annotations
@@ -91,16 +91,25 @@ class SupNormReport:
     argmax: float
 
 
-def sum_squares(polys, x, b: float, weighted: bool = False) -> np.ndarray:
+def _interval(polys: list[Polynomial]) -> float:
+    """The half-width b of a nonempty family whose members share one [-b, b]."""
+    widths = {p.b for p in polys}
+    if len(widths) != 1:
+        raise InvalidInputError(f"family must be nonempty, on one interval: {sorted(widths)}")
+    return widths.pop()
+
+
+def sum_squares(polys, x, *, weighted: bool = False) -> np.ndarray:
     """sum_j P_j(x)^2 at the points x, times (b^2 - x^2) when ``weighted``.
 
-    All members are evaluated in one Clenshaw pass over their coefficients
-    stacked column by column into a zero-padded matrix.  The recurrence
-    passes leading zeros through exactly, so each member's values are the
-    same doubles as its own call gives, and the squares are summed in
-    member order.
+    All members, on the family's [-b, b], are evaluated in one Clenshaw
+    pass over their coefficients stacked column by column into a
+    zero-padded matrix.  The recurrence passes leading zeros through
+    exactly, so each member's values are the same doubles as its own call
+    gives, and the squares are summed in member order.
     """
     polys = list(polys)
+    b = _interval(polys)
     stacked = np.zeros((max([1] + [len(p.coeffs) for p in polys]), len(polys)))
     for col, p in enumerate(polys):
         stacked[: len(p.coeffs), col] = p.coeffs
@@ -110,31 +119,18 @@ def sum_squares(polys, x, b: float, weighted: bool = False) -> np.ndarray:
     return values
 
 
-def critical_points(polys, b: float, weighted: bool = False) -> np.ndarray:
+def critical_points(polys, *, weighted: bool = False) -> np.ndarray:
     """Endpoints of [-b, b] and the critical points of the (weighted) sum of squares.
 
     The squared sum g is formed from the members' own Chebyshev series in
     x/b (weight included); the critical points are the real parts of every
     root of g', clipped to [-b, b].  Complex roots are not discarded: where
     g is nearly flat, rounding moves real critical points off the axis.
-
-    Parameters
-    ----------
-    polys : iterable of Polynomial
-        The family whose squared sum is bounded.  Must be nonempty; zero
-        polynomials are allowed.  Every member must be a series on [-b, b].
-    b : float
-        Interval half-width, positive.  ``ProblemSpec`` alone bounds it.
-    weighted : bool
-        When set, take g = (b^2 - x^2) * sum(P_j^2) instead.
+    ``polys`` must be nonempty, every member on one [-b, b], which sets b;
+    zero members are allowed.  ``weighted`` takes g = (b^2 - x^2) sum P_j^2.
     """
     polys = list(polys)
-    if not polys:
-        raise InvalidInputError("polynomial list must be nonempty")
-    if not b > 0.0:
-        raise InvalidInputError(f"half-width must be positive, got {b}")
-    if any(p.b != b for p in polys):
-        raise InvalidInputError(f"every member must be a series on [-{b}, {b}]")
+    b = _interval(polys)
     live = [p for p in polys if not p.is_zero]
     maxdeg = max((p.degree for p in live), default=0)
 
@@ -153,15 +149,15 @@ def critical_points(polys, b: float, weighted: bool = False) -> np.ndarray:
     return np.concatenate(([-b, b], critical))
 
 
-def sup_sum_squares(polys, b: float, weighted: bool = False) -> SupNormReport:
+def sup_sum_squares(polys, *, weighted: bool = False) -> SupNormReport:
     """Maximize sum(P_j(x)^2), optionally times (b^2 - x^2), over [-b, b].
 
     The maximum is taken over ``critical_points`` (which validates the
-    arguments), where the family is evaluated by ``sum_squares``, so
-    ``sup`` is the family's value at ``argmax``.
+    family and reads b off it), where the family is evaluated by
+    ``sum_squares``, so ``sup`` is the family's value at ``argmax``.
     """
     polys = list(polys)
-    xs = critical_points(polys, b, weighted)
-    values = sum_squares(polys, xs, b, weighted)
+    xs = critical_points(polys, weighted=weighted)
+    values = sum_squares(polys, xs, weighted=weighted)
     i_best = int(np.argmax(values))
     return SupNormReport(sup=float(values[i_best]), argmax=float(xs[i_best]))

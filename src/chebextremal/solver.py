@@ -298,6 +298,18 @@ def solve(spec: ProblemSpec) -> ExtremalSolution:
     )
 
 
+def _require_interval(sol: ExtremalSolution, spec: ProblemSpec) -> None:
+    """Reject ``sol`` unless its members and dual moments are all on spec.b.
+
+    The one comparison of a solution's half-width with the spec's.  Both
+    checks read k_j and the support off ``sol.dual_moments``, which on a
+    wider interval pass a family that is optimal only there.
+    """
+    widths = {p.b for p in sol.polys.values()} | {sol.dual_moments.b}
+    if widths != {spec.b}:
+        raise InvalidInputError(f"solution on half-widths {sorted(widths)}, spec on {spec.b}")
+
+
 def verify_solution(sol: ExtremalSolution, spec: ProblemSpec) -> VerificationReport:
     """Check feasibility, attainment, equimax property and duality of ``sol``.
 
@@ -305,12 +317,12 @@ def verify_solution(sol: ExtremalSolution, spec: ProblemSpec) -> VerificationRep
     Attainment: the constraint function must equal 1 at every support point
     of the dual measure.  Equimax: the squared norms over the active set
     must agree.  Duality: objective * k_top = 1 for the relevant measure.
-    Check failures are reported in flags, never raised.
+    Check failures are flags; a solution not on spec.b raises ``InvalidInputError``.
     """
-    b = spec.b
+    _require_interval(sol, spec)
     weighted = spec.kind == KIND_SECOND
     family = [sol.polys[j] for j in spec.indices]
-    sup_report = sup_sum_squares(family, b, weighted=weighted)
+    sup_report = sup_sum_squares(family, weighted=weighted)
 
     objective = sum(p.leading**2 for p in sol.polys.values())
 
@@ -320,7 +332,7 @@ def verify_solution(sol: ExtremalSolution, spec: ProblemSpec) -> VerificationRep
     duality_residual = abs(sol.objective * ks[spec.n] - 1.0)
 
     x = np.asarray(sol.support.points)
-    g = sum_squares(family, x, b, weighted)
+    g = sum_squares(family, x, weighted=weighted)
     attain = float(np.max(np.abs(g - 1.0)))
 
     checks = {

@@ -287,7 +287,7 @@ def test_08_second_kind():
     for sol in outputs:
         family = list(sol.polys.values())
         b = sol.dual_moments.b
-        worst_sup = max(worst_sup, sup_sum_squares(family, b, weighted=True).sup - 1.0)
+        worst_sup = max(worst_sup, sup_sum_squares(family, weighted=True).sup - 1.0)
     feasible_ok = worst_sup <= 1e-8
 
     # oracle agreement on the desk-scale cases
@@ -319,7 +319,7 @@ def test_09_non_invariance_witness():
     narrow = solve(ProblemSpec("first", (1, 2, 3), 1.0))
     # the same Chebyshev coefficients on [-2, 2] give x -> p(x/2)
     rescaled = [Polynomial(narrow.polys[j].coeffs, 2.0) for j in (1, 2, 3)]
-    sup = sup_sum_squares(rescaled, 2.0).sup
+    sup = sup_sum_squares(rescaled).sup
     feasible = [p * (1.0 / math.sqrt(sup)) for p in rescaled]
     value = sum(monomial(p, j + 1)[j] ** 2 for j, p in zip((1, 2, 3), feasible))
     optimum = 0.375

@@ -55,7 +55,7 @@ class TestBruteForce:
         spec = ProblemSpec("first", (1, 2), 1.8)
         result = oracle_bracket(spec)
         family = list(result.family.values())
-        sup = sup_sum_squares(family, spec.b).sup
+        sup = sup_sum_squares(family).sup
         assert sup <= 1.0 + 1e-9
         total = sum(p.leading**2 for p in result.family.values())
         assert total == pytest.approx(result.lower, abs=1e-9)
@@ -108,7 +108,7 @@ def test_bracket_holds(spec):
     assert result.upper - result.lower <= 1e-6 * result.upper
     family = list(result.family.values())
     weighted = spec.kind == "second"
-    assert sup_sum_squares(family, spec.b, weighted=weighted).sup <= 1.0 + 1e-9
+    assert sup_sum_squares(family, weighted=weighted).sup <= 1.0 + 1e-9
     assert sum(p.leading**2 for p in family) == pytest.approx(result.lower, rel=1e-12)
 
 

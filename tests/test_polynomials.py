@@ -122,12 +122,12 @@ class TestChebyshev:
 class TestSupSumSquares:
     def test_rescaled_t3_attains_one_at_endpoints(self):
         b = 1.7
-        report = sup_sum_squares([to_library(stretched(chebyshev_t(3), b), b)], b)
+        report = sup_sum_squares([to_library(stretched(chebyshev_t(3), b), b)])
         assert report.sup == pytest.approx(1.0, abs=1e-12)
         assert abs(report.argmax) == pytest.approx(b, abs=1e-9)
 
     def test_plain_x_on_wide_interval(self):
-        report = sup_sum_squares([to_library(Monomial([0.0, 1.0]), 2.0)], 2.0)
+        report = sup_sum_squares([to_library(Monomial([0.0, 1.0]), 2.0)])
         assert report.sup == pytest.approx(4.0, abs=1e-12)
         assert abs(report.argmax) == pytest.approx(2.0, abs=1e-9)
 
@@ -135,28 +135,28 @@ class TestSupSumSquares:
     @pytest.mark.parametrize("n", range(0, 7))
     def test_weighted_second_kind_family_attains_one(self, n, b):
         p = to_library((1.0 / b) * stretched(chebyshev_u(n), b), b)
-        report = sup_sum_squares([p], b, weighted=True)
+        report = sup_sum_squares([p], weighted=True)
         assert report.sup == pytest.approx(1.0, rel=1e-10)
 
     def test_sup_equals_value_at_argmax(self):
         qs = (stretched(chebyshev_t(4), 1.3), Monomial([0.1, 0.2, 0.3]))
         polys = [to_library(q, 1.3) for q in qs]
-        report = sup_sum_squares(polys, 1.3)
+        report = sup_sum_squares(polys)
         value = sum(p(report.argmax) ** 2 for p in polys)
         assert report.sup == pytest.approx(value, rel=1e-14)
 
     @pytest.mark.parametrize("t", [0.5, 2.0])
     def test_homogeneity(self, t):
         polys = [to_library(Monomial(c), 1.9) for c in ([0.3, -1.0, 0.5], [0.0, 0.7, 0.0, -0.2])]
-        base = sup_sum_squares(polys, 1.9).sup
-        scaled = sup_sum_squares([t * p for p in polys], 1.9).sup
+        base = sup_sum_squares(polys).sup
+        scaled = sup_sum_squares([t * p for p in polys]).sup
         assert scaled == pytest.approx(t * t * base, rel=1e-10)
 
     def test_refinement_dominates_raw_grid(self):
         b = 2.2
         qs = (stretched(chebyshev_t(5), b), Monomial([0.0, 0.0, 0.11]))
         polys = [to_library(q, b) for q in qs]
-        report = sup_sum_squares(polys, b)
+        report = sup_sum_squares(polys)
         deg = 2 * 5
         npts = 64 * (deg + 1)
         grid = b * np.cos(np.linspace(math.pi, 0.0, npts))
@@ -173,8 +173,8 @@ class TestSupSumSquares:
             Polynomial(tuple(rng.standard_normal(d + 1)), b)
             for d in (degree, int(rng.integers(0, degree)))
         ]
-        report = sup_sum_squares(polys, b, weighted=weighted)
-        grid = sum_squares(polys, np.linspace(-b, b, 200001), b, weighted)
+        report = sup_sum_squares(polys, weighted=weighted)
+        grid = sum_squares(polys, np.linspace(-b, b, 200001), weighted=weighted)
         assert report.sup >= grid.max() * (1.0 - 1e-13)
         # the grid misses a peak of width ~b/degree by a few 1e-6 of its height
         assert report.sup == pytest.approx(grid.max(), rel=1e-5)
@@ -183,7 +183,7 @@ class TestSupSumSquares:
         # all-even family: the sup over [0, b] equals the full sup
         b = 1.6
         polys = [to_library(Monomial(c), b) for c in ([0.2, 0.0, -0.4, 0.0, 0.15], [0.5])]
-        report = sup_sum_squares(polys, b)
+        report = sup_sum_squares(polys)
         xs = np.linspace(0.0, b, 200001)
         half = max(sum(p(float(x)) ** 2 for p in polys) for x in xs)
         assert report.sup >= half - 1e-12
@@ -191,36 +191,43 @@ class TestSupSumSquares:
 
     def test_empty_list_rejected(self):
         with pytest.raises(InvalidInputError):
-            sup_sum_squares([], 1.0)
+            sup_sum_squares([])
 
-    def test_bad_half_width_rejected(self):
-        with pytest.raises(InvalidInputError):
-            sup_sum_squares([Polynomial((1.0,), 1.0)], 0.0)
+    def test_mixed_interval_family_rejected_by_each_helper(self):
+        # each helper reads b off the family, so its members must agree on it
+        mixed = [Polynomial((1.0,), 1.0), Polynomial((0.0, 1.0), 2.0)]
+        for call in (
+            lambda: sum_squares(mixed, np.zeros(3)),
+            lambda: critical_points(mixed, weighted=True),
+            lambda: sup_sum_squares(mixed),
+        ):
+            with pytest.raises(InvalidInputError):
+                call()
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("b", [20.0, 1e3])
     def test_half_widths_past_the_spec_range_match_a_fine_grid(self, b, weighted):
-        # the half-width range is ProblemSpec's alone: the sup takes any b > 0
+        # the half-width range is ProblemSpec's alone: the sup reads any b > 0 off the family
         rng = np.random.default_rng(int(b) + weighted)
         polys = [Polynomial(tuple(rng.standard_normal(d + 1)), b) for d in (12, 5, 0)]
-        report = sup_sum_squares(polys, b, weighted=weighted)
-        grid = sum_squares(polys, np.linspace(-b, b, 200001), b, weighted)
+        report = sup_sum_squares(polys, weighted=weighted)
+        grid = sum_squares(polys, np.linspace(-b, b, 200001), weighted=weighted)
         assert report.sup >= grid.max() * (1.0 - 1e-13)
         assert report.sup == pytest.approx(grid.max(), rel=1e-5)
 
     def test_member_on_another_interval_rejected(self):
         with pytest.raises(InvalidInputError):
-            sup_sum_squares([Polynomial((1.0,), 1.0), Polynomial((0.0, 1.0), 2.0)], 1.0)
+            sup_sum_squares([Polynomial((1.0,), 1.0), Polynomial((0.0, 1.0), 2.0)])
 
     def test_all_zero_family(self):
-        report = sup_sum_squares([Polynomial.zero(1.0)], 1.0)
+        report = sup_sum_squares([Polynomial.zero(1.0)])
         assert report.sup == 0.0
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_constant_family(self, weighted):
         # g' vanishes identically when unweighted: only the endpoints remain
         polys = [Polynomial((0.6,), 1.5), Polynomial.zero(1.5), Polynomial((-0.8,), 1.5)]
-        report = sup_sum_squares(polys, 1.5, weighted=weighted)
+        report = sup_sum_squares(polys, weighted=weighted)
         if weighted:
             assert report.sup == pytest.approx(1.5**2, rel=1e-15)
             assert report.argmax == pytest.approx(0.0, abs=1e-15)
@@ -245,7 +252,7 @@ _coeff = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 )
 def test_sup_dominates_dense_grid(family, b, weighted):
     polys = [to_library(Monomial(cs), b) for cs in family]
-    report = sup_sum_squares(polys, b, weighted=weighted)
+    report = sup_sum_squares(polys, weighted=weighted)
     assert -b <= report.argmax <= b
     at_argmax = _family_value(polys, np.array([report.argmax]), b, weighted)
     assert report.sup == at_argmax[0]
@@ -266,7 +273,9 @@ def test_stacked_evaluation_is_bitwise_per_member(family, b, weighted):
     same doubles as evaluating and squaring member by member."""
     polys = [Polynomial(tuple(cs), b) for cs in family]
     x = np.linspace(-b, b, 41)
-    assert np.array_equal(sum_squares(polys, x, b, weighted), _family_value(polys, x, b, weighted))
+    assert np.array_equal(
+        sum_squares(polys, x, weighted=weighted), _family_value(polys, x, b, weighted)
+    )
 
 
 #: a top coefficient whose square underflows to 0.0
@@ -293,5 +302,5 @@ def test_squared_sum_in_one_array_matches_chebadd(family, b, weighted):
     points as a chebadd per member, which trims trailing zeros as it goes."""
     polys = [Polynomial(tuple(cs), b) for cs in family]
     assert np.array_equal(
-        critical_points(polys, b, weighted), critical_points_by_chebadd(polys, b, weighted)
+        critical_points(polys, weighted=weighted), critical_points_by_chebadd(polys, b, weighted)
     )

@@ -186,7 +186,7 @@ class TestSecondKindDispatch:
 
     def test_weighted_feasibility_of_family(self):
         sol = solve(ProblemSpec("second", (0, 1, 2, 3), 1.9))
-        report = sup_sum_squares(list(sol.polys.values()), 1.9, weighted=True)
+        report = sup_sum_squares(list(sol.polys.values()), weighted=True)
         assert report.sup <= 1.0 + 1e-8
 
 

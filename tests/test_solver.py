@@ -16,6 +16,7 @@ from chebextremal import (
     active_set,
     alpha_weights,
     dual_moments,
+    duality_certificate,
     solve,
     sup_sum_squares,
     verify_solution,
@@ -322,7 +323,7 @@ class TestSolveFirstKind:
         narrow = solve(ProblemSpec("first", (1, 2, 3), 1.0))
         # the same Chebyshev coefficients on [-2, 2] give x -> p(x/2)
         rescaled = [Polynomial(narrow.polys[j].coeffs, 2.0) for j in (1, 2, 3)]
-        sup = sup_sum_squares(rescaled, 2.0).sup
+        sup = sup_sum_squares(rescaled).sup
         feasible_value = sum(monomial(p, j + 1)[j] ** 2 for j, p in zip((1, 2, 3), rescaled)) / sup
         wide = solve(ProblemSpec("first", (1, 2, 3), 2.0))
         assert feasible_value < wide.objective - 1e-3
@@ -564,3 +565,52 @@ def test_phase_index_is_the_lowest_live_dual_index(spec):
     low = 1 if spec.kind == "first" else 0
     if spec.indices == tuple(range(low, spec.n + 1)):
         assert sol.phase_index == threshold_index(spec.n, spec.b, spec.kind)
+
+
+@st.composite
+def _wider_interval_cases(draw):
+    """An accepted spec with b log-uniform in [1e-3, 10/(1 + delta)], and delta
+    log-uniform in [1e-8, 1e-2]."""
+    delta = math.exp(draw(st.floats(math.log(1e-8), math.log(1e-2))))
+    kind = draw(st.sampled_from(["first", "second"]))
+    low, cap = (1, 31) if kind == "first" else (0, 30)
+    n = draw(st.integers(low, cap))
+    below = draw(st.sets(st.integers(low, n - 1))) if n > low else set()
+    top = 10.0 / (1.0 + delta)
+    b = min(math.exp(draw(st.floats(math.log(1e-3), math.log(top)))), top)
+    return ProblemSpec(kind, below | {n}, b), delta
+
+
+def _on_interval(p, b):
+    """``p`` re-expressed as a Chebyshev series on [-b, b]."""
+    if p.is_zero:
+        return Polynomial.zero(b)
+    series = np.polynomial.Chebyshev(p.coeffs, domain=[-p.b, p.b]).convert(domain=[-b, b])
+    return Polynomial(tuple(series.coef), b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_wider_interval_cases())
+# the family's value sits 3.3e-4, 4.1e-4, 4.0e-3 and 1.2e-3 (relative) below the optimum
+@example(case=(ProblemSpec("first", (1, 2, 3), 2.0), 1e-4))
+@example(case=(ProblemSpec("first", (2, 5, 9), 3.0), 1e-4))
+@example(case=(ProblemSpec("first", range(1, 21), 1.5), 1e-4))
+@example(case=(ProblemSpec("second", (0, 3, 5), 1.7), 1e-4))
+def test_family_optimal_on_a_wider_interval_is_rejected(case):
+    """The optimal family for [-b(1 + delta), b(1 + delta)], re-expressed on
+    [-b, b], is suboptimal there: both checks reject it."""
+    spec, delta = case
+    try:
+        wide = solve(ProblemSpec(spec.kind, spec.indices, min(spec.b * (1.0 + delta), 10.0)))
+    except InvalidInputError as exc:
+        # ROADMAP item 3: some accepted specs raise in the dual recurrence
+        assert "rounds to 1" in str(exc)
+        return
+    kept = replace(wide, polys={j: _on_interval(p, spec.b) for j, p in wide.polys.items()})
+    # the dual moments still carry the wider half-width
+    with pytest.raises(InvalidInputError):
+        verify_solution(kept, spec)
+    with pytest.raises(InvalidInputError):
+        duality_certificate(kept, spec)
+    relabelled = replace(kept, dual_moments=replace(wide.dual_moments, b=spec.b))
+    assert not verify_solution(relabelled, spec).passed
