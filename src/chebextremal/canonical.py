@@ -134,13 +134,19 @@ def weighted_recurrence(diag, squares, b: float):
     monic polynomials of degree 0..N - 1.  Both factors are
     positive definite while mu's support is interior, and with at most 31
     rows a dense Cholesky costs nothing.
+
+    A diagonal of exact zeros, as on every dual measure of the solver, is
+    a measure symmetric about 0.  So is (b^2 - x^2) d(mu), and the diagonal
+    returned is then exact zeros too, not the Cholesky factors' rounding:
+    each monic polynomial has the parity of its degree.
     """
     off = np.sqrt(squares)
     eye = b * np.eye(len(diag))
     low = np.linalg.cholesky(eye - (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)))
     low2 = np.linalg.cholesky((eye - low.T @ low) + eye)
     jac = low2.T @ low2 - eye
-    return np.diag(jac)[:-1], np.diag(jac, 1)[:-1] ** 2
+    new_diag = np.diag(jac)[:-1] if np.any(diag) else np.zeros(len(diag) - 1)
+    return new_diag, np.diag(jac, 1)[:-1] ** 2
 
 
 def l2_norms(cm: CanonicalMomentSeq, n: int) -> list[float]:

@@ -11,7 +11,9 @@ The sup of a (weighted) sum of squares over [-b, b], with b read off the
 family, whose members must share it, is exact up to rounding: the sum is
 formed as a Chebyshev series in x/b, the roots of its derivative are
 colleague-matrix eigenvalues, and the family is evaluated at those
-critical points and at the endpoints in one Clenshaw pass.
+critical points and at the endpoints in one Clenshaw pass.  An even sum,
+as every solved family gives, is a polynomial in T_2(x/b), whose
+derivative has half the degree.
 """
 
 from __future__ import annotations
@@ -119,6 +121,51 @@ def sum_squares(polys, x, *, weighted: bool = False) -> np.ndarray:
     return values
 
 
+def _square(c) -> np.ndarray:
+    """Chebyshev series of c^2, by ``chebmul``'s own arithmetic without its checks.
+
+    Like ``chebmul(c, c)``, it halves c into the symmetric z-series
+    zs + zs[::-1], squares that by one ``np.convolve`` and maps the product
+    back, so every coefficient is the same double; the trailing zeros that
+    ``chebmul`` trims are kept, which leaves the series 2 len(c) - 1 long.
+    """
+    n = len(c)
+    zs = np.zeros(2 * n - 1)
+    zs[n - 1:] = np.asarray(c) / 2
+    zs = zs + zs[::-1]
+    square = np.convolve(zs, zs)[2 * n - 2:]
+    square[1:] *= 2
+    return square
+
+
+def _squared_sum(polys, weighted: bool) -> tuple[float, np.ndarray]:
+    """The family's half-width b and its (weighted) sum of squares g in x/b."""
+    b = _interval(polys)
+    live = [p for p in polys if not p.is_zero]
+    maxdeg = max((p.degree for p in live), default=0)
+    # zeros at the top of g (a square whose top coefficient underflows) are
+    # trimmed off g' in ``_stationary``
+    g = np.zeros(2 * maxdeg + 1)
+    for p in live:
+        g[: 2 * len(p.coeffs) - 1] += _square(p.coeffs)
+    if weighted:
+        g = cheb.chebmul(g, [0.5 * b * b, 0.0, -0.5 * b * b])
+    return b, g
+
+
+def _stationary(g: np.ndarray) -> np.ndarray:
+    """Real parts of every root of the Chebyshev series g', ascending."""
+    # trailing terms below rounding of g' would blow up the colleague matrix
+    dg = cheb.chebder(g)
+    dg = cheb.chebtrim(dg, np.finfo(float).eps * np.abs(dg).max())
+    return cheb.chebroots(dg).real
+
+
+def _critical(b: float, g: np.ndarray) -> np.ndarray:
+    """-b, b and the stationary points of g on [-b, b], in x."""
+    return np.concatenate(([-b, b], np.clip(b * _stationary(g), -b, b)))
+
+
 def critical_points(polys, *, weighted: bool = False) -> np.ndarray:
     """Endpoints of [-b, b] and the critical points of the (weighted) sum of squares.
 
@@ -129,35 +176,31 @@ def critical_points(polys, *, weighted: bool = False) -> np.ndarray:
     ``polys`` must be nonempty, every member on one [-b, b], which sets b;
     zero members are allowed.  ``weighted`` takes g = (b^2 - x^2) sum P_j^2.
     """
-    polys = list(polys)
-    b = _interval(polys)
-    live = [p for p in polys if not p.is_zero]
-    maxdeg = max((p.degree for p in live), default=0)
-
-    # zeros at the top of g (a square whose top coefficient underflows) are
-    # trimmed off g' below
-    g = np.zeros(2 * maxdeg + 1)
-    for p in live:
-        square = cheb.chebmul(p.coeffs, p.coeffs)
-        g[: len(square)] += square
-    if weighted:
-        g = cheb.chebmul(g, [0.5 * b * b, 0.0, -0.5 * b * b])
-    # trailing terms below rounding of g' would blow up the colleague matrix
-    dg = cheb.chebder(g)
-    dg = cheb.chebtrim(dg, np.finfo(float).eps * np.abs(dg).max())
-    critical = np.clip(b * cheb.chebroots(dg).real, -b, b)
-    return np.concatenate(([-b, b], critical))
+    return _critical(*_squared_sum(list(polys), weighted))
 
 
 def sup_sum_squares(polys, *, weighted: bool = False) -> SupNormReport:
     """Maximize sum(P_j(x)^2), optionally times (b^2 - x^2), over [-b, b].
 
-    The maximum is taken over ``critical_points`` (which validates the
-    family and reads b off it), where the family is evaluated by
-    ``sum_squares``, so ``sup`` is the family's value at ``argmax``.
+    The squared sum g is formed as in ``critical_points`` (which validates
+    the family and reads b off it).  Where every odd coefficient of g is
+    exactly 0, as on a family whose members each have the parity of their
+    degree, g(x) = h(T_2(x/b)) with h = g[::2].  Then g' = 4 (x/b) h'(T_2(x/b))
+    and the critical points are x = 0 and +-b sqrt((1 + v)/2) for the real
+    part v of every root of h', clipped to [-1, 1]: an eigenproblem of half
+    the size.  The test is for exact zeros, with no tolerance.  Any other g
+    takes the points of ``critical_points``.  Either way the family is
+    evaluated there by ``sum_squares``, at -b, b, then the other points
+    ascending, so ``sup`` is the family's value at ``argmax`` and a tie
+    between x and -x reports -x.
     """
     polys = list(polys)
-    xs = critical_points(polys, weighted=weighted)
+    b, g = _squared_sum(polys, weighted)
+    if g[1::2].any():
+        xs = _critical(b, g)
+    else:
+        half = b * np.sqrt((1.0 + np.clip(_stationary(g[::2]), -1.0, 1.0)) / 2.0)
+        xs = np.concatenate(([-b, b], -half[::-1], [0.0], half))
     values = sum_squares(polys, xs, weighted=weighted)
     i_best = int(np.argmax(values))
     return SupNormReport(sup=float(values[i_best]), argmax=float(xs[i_best]))

@@ -267,7 +267,10 @@ def solve(spec: ProblemSpec) -> ExtremalSolution:
     point or weight is computed.  Either way member j is sqrt(alpha / k_j)
     times its monic polynomial, with alpha taken at the lifted index and
     k_j from ``family_norms``, and the objective is 1/k_n.  The phase index
-    is the lowest lifted index with alpha > 0.
+    is the lowest lifted index with alpha > 0.  Both measures are symmetric
+    about 0, with an exact zero Jacobi diagonal, so member j has the parity
+    of j: its coefficients of the other parity are exactly 0, which lets
+    ``sup_sum_squares`` take its even route.
     """
     cm = dual_moments(spec)
     lift, shift = _lift(spec)
