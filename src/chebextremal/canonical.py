@@ -125,28 +125,28 @@ def weighted_recurrence(diag, squares, b: float):
     """Recurrence of (b^2 - x^2) d(mu) from the Jacobi matrix of mu.
 
     ``diag`` and ``squares`` are the N x N Jacobi matrix J of a measure mu
-    on (-b, b), as ``jacobi_coefficients`` returns it.  Two Christoffel
-    steps by Cholesky (Gautschi, *Orthogonal Polynomials*, 2004, sec.
-    2.4; Galant 1971): bI - J = L L' makes bI - L'L the Jacobi matrix of
-    (b - x) d(mu), and that plus bI = L2 L2' makes L2'L2 - bI the one of
-    (b^2 - x^2) d(mu).  Returns its leading N - 1 diagonal and N - 2
-    squared off-diagonal entries, in the same form: the recurrence of the
-    monic polynomials of degree 0..N - 1.  Both factors are
-    positive definite while mu's support is interior, and with at most 31
-    rows a dense Cholesky costs nothing.
-
-    A diagonal of exact zeros, as on every dual measure of the solver, is
-    a measure symmetric about 0.  So is (b^2 - x^2) d(mu), and the diagonal
-    returned is then exact zeros too, not the Cholesky factors' rounding:
-    each monic polynomial has the parity of its degree.
+    on (-b, b) symmetric about 0, as ``jacobi_coefficients`` returns it:
+    ``diag`` must be exact zeros, as on every dual measure of the solver,
+    or ``InvalidInputError`` is raised.  Two Christoffel steps by Cholesky
+    (Gautschi, *Orthogonal Polynomials*, 2004, sec. 2.4; Galant 1971):
+    bI - J = L L' makes bI - L'L the Jacobi matrix of (b - x) d(mu), and
+    that plus bI = L2 L2' makes L2'L2 - bI the one of (b^2 - x^2) d(mu).
+    Returns its leading N - 1 diagonal and N - 2 squared off-diagonal
+    entries, in the same form: the recurrence of the monic polynomials of
+    degree 0..N - 1.  Both factors are positive definite while mu's support
+    is interior, and with at most 31 rows a dense Cholesky costs nothing.
+    (b^2 - x^2) d(mu) is symmetric too, so the diagonal returned is exact
+    zeros, not the Cholesky factors' rounding: each monic polynomial has
+    the parity of its degree.
     """
+    if any(diag):
+        raise InvalidInputError("the weighted recurrence needs a zero diagonal")
     off = np.sqrt(squares)
     eye = b * np.eye(len(diag))
-    low = np.linalg.cholesky(eye - (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)))
+    low = np.linalg.cholesky(eye - (np.diag(off, 1) + np.diag(off, -1)))
     low2 = np.linalg.cholesky((eye - low.T @ low) + eye)
     jac = low2.T @ low2 - eye
-    new_diag = np.diag(jac)[:-1] if np.any(diag) else np.zeros(len(diag) - 1)
-    return new_diag, np.diag(jac, 1)[:-1] ** 2
+    return np.zeros(len(diag))[:-1], np.diag(jac, 1)[:-1] ** 2
 
 
 def l2_norms(cm: CanonicalMomentSeq, n: int) -> list[float]:

@@ -121,23 +121,6 @@ def sum_squares(polys, x, *, weighted: bool = False) -> np.ndarray:
     return values
 
 
-def _square(c) -> np.ndarray:
-    """Chebyshev series of c^2, by ``chebmul``'s own arithmetic without its checks.
-
-    Like ``chebmul(c, c)``, it halves c into the symmetric z-series
-    zs + zs[::-1], squares that by one ``np.convolve`` and maps the product
-    back, so every coefficient is the same double; the trailing zeros that
-    ``chebmul`` trims are kept, which leaves the series 2 len(c) - 1 long.
-    """
-    n = len(c)
-    zs = np.zeros(2 * n - 1)
-    zs[n - 1:] = np.asarray(c) / 2
-    zs = zs + zs[::-1]
-    square = np.convolve(zs, zs)[2 * n - 2:]
-    square[1:] *= 2
-    return square
-
-
 def _squared_sum(polys, weighted: bool) -> tuple[float, np.ndarray]:
     """The family's half-width b and its (weighted) sum of squares g in x/b."""
     b = _interval(polys)
@@ -147,7 +130,8 @@ def _squared_sum(polys, weighted: bool) -> tuple[float, np.ndarray]:
     # trimmed off g' in ``_stationary``
     g = np.zeros(2 * maxdeg + 1)
     for p in live:
-        g[: 2 * len(p.coeffs) - 1] += _square(p.coeffs)
+        square = cheb.chebmul(p.coeffs, p.coeffs)
+        g[: len(square)] += square
     if weighted:
         g = cheb.chebmul(g, [0.5 * b * b, 0.0, -0.5 * b * b])
     return b, g

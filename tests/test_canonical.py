@@ -200,6 +200,13 @@ class TestWeightedRecurrence:
         np.testing.assert_allclose(diag, want_diag, rtol=0, atol=1e-14 * b)
         np.testing.assert_allclose(squares, want_squares, rtol=1e-14, atol=0)
 
+    def test_nonzero_diagonal_rejected(self):
+        # a measure that is not symmetric about 0 is outside the step's contract
+        diag, squares = jacobi_coefficients(gegenbauer(0.5, 1.0, 5), 3)
+        diag[1] = 1e-300
+        with pytest.raises(InvalidInputError):
+            weighted_recurrence(diag, squares, 1.0)
+
 
 @pytest.mark.parametrize(
     "spec",
